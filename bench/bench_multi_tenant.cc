@@ -11,15 +11,13 @@
  * (alone on the device) and its co-located runs against each
  * background tenant: the slowdown of the primary's makespan and the
  * inflation of its per-request latency tail. Every cell is one
- * deterministic engine run, so repeated executions (and any
- * --threads value) produce byte-identical output.
+ * deterministic device run (its streams as tick-0 jobs on a fresh
+ * core::Device), so repeated executions (and any --threads value)
+ * produce byte-identical output.
  *
  * Flags: the shared sweep CLI. --workloads filters the tenant set;
  * --techniques selects the one offloading policy every stream runs
- * under (a single entry, default Conduit). --via-device executes
- * every cell through the persistent-device job API instead of the
- * direct batch engine run — output is byte-identical by the Device
- * equivalence contract, and CI diffs the two paths.
+ * under (a single entry, default Conduit).
  *
  * --age CYCLES runs the matrix on an aged device instead of a
  * factory-fresh one: a single pre-worn DeviceImage (reliability
@@ -113,15 +111,12 @@ main(int argc, char **argv)
     using namespace conduit;
     using namespace conduit::bench;
 
-    bool viaDevice = false;
     std::uint32_t age = 0;
     double retentionDays = -1.0; // < 0: derive from the age
     std::size_t warmupJobs = 4;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--via-device") {
-            viaDevice = true;
-        } else if (flag == "--age") {
+        if (flag == "--age") {
             age = static_cast<std::uint32_t>(
                 parseCount("--age", value(), /*allow_zero=*/true));
         } else if (flag == "--retention-days") {
@@ -136,8 +131,8 @@ main(int argc, char **argv)
     };
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
-        "          [--via-device] [--age CYCLES]\n"
-        "          [--retention-days D] [--warmup-jobs N]\n");
+        "          [--age CYCLES] [--retention-days D]\n"
+        "          [--warmup-jobs N]\n");
     if (retentionDays < 0.0)
         retentionDays = static_cast<double>(age) * 30.0 / 1000.0;
 
@@ -208,7 +203,6 @@ main(int argc, char **argv)
         iso.config = config;
         iso.params = params;
         iso.streams = {slotFor(p, policy)};
-        iso.viaDevice = viaDevice;
         cells.push_back(std::move(iso));
     }
     for (WorkloadId p : tenants) {
@@ -218,7 +212,6 @@ main(int argc, char **argv)
             co.config = config;
             co.params = params;
             co.streams = {slotFor(p, policy), slotFor(b, policy)};
-            co.viaDevice = viaDevice;
             cells.push_back(std::move(co));
         }
     }

@@ -36,14 +36,17 @@ benchProgram()
 void
 BM_CostFunctionEvaluation(benchmark::State &state)
 {
-    Engine engine(benchCfg());
-    Program prog = benchProgram();
+    Device dev(makeDeviceOptions(benchCfg(), {}, {}));
+    const auto prog = std::make_shared<const Program>(benchProgram());
     ConduitPolicy policy;
-    engine.run(prog, policy); // populate device state
+    JobSpec job;
+    job.program = prog;
+    dev.submit(job);
+    dev.drain(); // populate device state
     std::size_t i = 0;
     for (auto _ : state) {
-        const auto &vi = prog.instrs[i++ % prog.instrs.size()];
-        CostFeatures f = engine.features(vi, 0);
+        const auto &vi = prog->instrs[i++ % prog->instrs.size()];
+        CostFeatures f = dev.engine().features(vi, 0);
         benchmark::DoNotOptimize(policy.select(vi, f));
     }
 }
@@ -68,15 +71,17 @@ BENCHMARK(BM_InstructionTransformation);
 void
 BM_EngineRunLlama(benchmark::State &state)
 {
-    Program prog = benchProgram();
+    const auto prog = std::make_shared<const Program>(benchProgram());
     for (auto _ : state) {
-        Engine engine(benchCfg());
-        ConduitPolicy policy;
-        benchmark::DoNotOptimize(engine.run(prog, policy));
+        Device dev(makeDeviceOptions(benchCfg(), {}, {}));
+        JobSpec job;
+        job.program = prog;
+        dev.submit(job);
+        benchmark::DoNotOptimize(dev.drain());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(prog.instrs.size()));
+        static_cast<std::int64_t>(prog->instrs.size()));
 }
 BENCHMARK(BM_EngineRunLlama);
 

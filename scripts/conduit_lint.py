@@ -35,10 +35,8 @@ ways that invariant silently rots into build-time errors:
                     Seeds must flow from SsdConfig/spec fields so
                     sweeps and forks replay.
 
-Parsing uses the libclang Python bindings when they are importable and
-a working libclang is found; otherwise (the common case — no new hard
-dependency) a lightweight built-in C++ tokenizer handles everything.
-Both paths share the same suppression and reporting machinery.
+Parsing uses a lightweight built-in C++ tokenizer (no dependency
+beyond python3).
 
 Suppressions
 ------------
@@ -484,53 +482,6 @@ def _outside_angles(s):
 
 
 # --------------------------------------------------------------------
-# Optional libclang front-end (refines unordered-iter when present).
-# --------------------------------------------------------------------
-
-def _try_libclang():
-    try:
-        from clang import cindex  # noqa: F401
-        idx = cindex.Index.create()
-        return cindex, idx
-    except Exception:  # ImportError or LibclangError
-        return None, None
-
-
-LIBCLANG, LIBCLANG_INDEX = _try_libclang()
-
-
-def libclang_unordered_loops(root, relpath):
-    """Range-for statements whose range is an unordered container.
-
-    Returns a set of 1-based lines, or None when libclang is
-    unavailable or fails to parse (the tokenizer path then stands
-    alone, which is the no-hard-dependency contract).
-    """
-    if LIBCLANG is None:
-        return None
-    try:
-        tu = LIBCLANG_INDEX.parse(
-            os.path.join(root, relpath),
-            args=["-std=c++17", "-I", root])
-    except Exception:
-        return None
-    lines = set()
-
-    def visit(node):
-        if node.kind == LIBCLANG.CursorKind.CXX_FOR_RANGE_STMT:
-            for child in node.get_children():
-                t = child.type.spelling
-                if "unordered_map" in t or "unordered_set" in t:
-                    lines.add(node.location.line)
-                break
-        for child in node.get_children():
-            visit(child)
-
-    visit(tu.cursor)
-    return lines
-
-
-# --------------------------------------------------------------------
 # Check 1: unordered-iteration.
 # --------------------------------------------------------------------
 
@@ -616,19 +567,6 @@ def check_unordered_iter(src, findings):
                 f"iterator traversal of unordered container "
                 f"'{name}': iteration order is address-dependent "
                 "and breaks replay determinism"))
-
-    # libclang refinement: lines it proves are unordered range-fors
-    # that the name-based pass missed (e.g. via member access off a
-    # getter). Purely additive.
-    clang_lines = libclang_unordered_loops(REPO_ROOT, src.path)
-    if clang_lines:
-        seen = {f.line for f in findings
-                if f.path == src.path and f.check == "unordered-iter"}
-        for line in sorted(clang_lines - seen):
-            findings.append(Finding(
-                "unordered-iter", src.path, line,
-                "range-for over unordered container (libclang): "
-                "iteration order is address-dependent"))
 
 
 # --------------------------------------------------------------------
@@ -981,8 +919,7 @@ def emit(findings, suppressed, transients, github, report_path):
         by_check.items())) or "clean"
     print(f"\nconduit-lint: {len(findings)} unsuppressed finding(s) "
           f"({summary}), {len(suppressed)} suppressed, "
-          f"{len(transients)} transient annotations "
-          f"[{'libclang' if LIBCLANG else 'builtin tokenizer'}]")
+          f"{len(transients)} transient annotations")
     if report_path:
         with open(report_path, "w", encoding="utf-8") as f:
             json.dump({
@@ -997,8 +934,6 @@ def emit(findings, suppressed, transients, github, report_path):
                 "transients": [
                     {"file": rel, "line": line, "why": why}
                     for rel, line, why in transients],
-                "frontend": ("libclang" if LIBCLANG
-                             else "builtin tokenizer"),
             }, f, indent=2)
             f.write("\n")
 
@@ -1058,13 +993,11 @@ def selftest(root):
             print(f"  extra:   {line}")
         return 1
     print(f"lint selftest passed: {len(want)} golden findings "
-          f"reproduced over {len(fixtures)} fixtures "
-          f"[{'libclang' if LIBCLANG else 'builtin tokenizer'}]")
+          f"reproduced over {len(fixtures)} fixtures")
     return 0
 
 
 def main():
-    global REPO_ROOT
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -1088,13 +1021,13 @@ def main():
         for c in CHECKS:
             print(c)
         return 0
-    REPO_ROOT = os.path.abspath(args.root)
+    root = os.path.abspath(args.root)
     if args.selftest:
-        return selftest(REPO_ROOT)
+        return selftest(root)
 
     github = args.github or os.environ.get("GITHUB_ACTIONS") == "true"
     active, suppressed, sources = scan_tree(
-        REPO_ROOT, paths=args.paths or None)
+        root, paths=args.paths or None)
     transients = count_transients(sources)
     emit(active, suppressed, transients, github, args.report)
     return 1 if active else 0

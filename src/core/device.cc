@@ -160,9 +160,8 @@ Device::ensureSession()
         return;
     std::uint64_t cap = opts_.capacityPages;
     if (cap == 0) {
-        // Auto-size the pool to the jobs pending right now — the
-        // footprint sum Engine::run prepares for, which keeps
-        // simultaneous-arrival runs byte-identical to runMulti.
+        // Auto-size the pool to the jobs pending right now, so a
+        // batch of simultaneous arrivals fits exactly.
         for (const Job &j : jobs_)
             cap += j.footprint;
     }
@@ -173,8 +172,8 @@ Device::ensureSession()
     session_ = true;
 
     // Tick-0 jobs admit directly (no arrival event), in submission
-    // order — exactly the spec-order attach sequence of Engine::run.
-    // Future arrivals become events on the shared queue.
+    // order, so their regions lie contiguously in that order. Future
+    // arrivals become events on the shared queue.
     for (Job &job : jobs_) {
         if (job.requestedArrival == 0) {
             job.result.arrival = 0;
@@ -290,7 +289,7 @@ Device::retire(Job &job)
             kRetirePriority);
     } else {
         // Quiescence-mode retirement happens outside simulated time
-        // (the batch semantics of Engine::run); release in place.
+        // (batch semantics); release in place.
         releaseRegion(base, pages);
     }
 }
@@ -453,7 +452,15 @@ runStreamsOnDevice(const DeviceOptions &opts,
                    std::vector<sched::StreamSpec> streams)
 {
     if (streams.empty())
-        throw std::invalid_argument("Engine: no streams to run");
+        throw std::invalid_argument(
+            "runStreamsOnDevice: no streams to run");
+    // Reject up front: a JobSpec without a policy object would fall
+    // back to its default policy name and run silently mislabelled.
+    for (const sched::StreamSpec &s : streams)
+        if (!s.program || !s.policy)
+            throw std::invalid_argument(
+                "runStreamsOnDevice: StreamSpec needs a program and a "
+                "policy");
     Device dev(opts);
     for (sched::StreamSpec &s : streams) {
         JobSpec job;

@@ -1,13 +1,14 @@
 /**
  * @file
- * The persistent simulated SSD with dynamic job submission.
+ * The persistent simulated SSD with dynamic job submission — the only
+ * caller of the runtime engine's session API. Every program the
+ * simulator executes runs as a job on a Device: the sweep runner's
+ * cells, the Simulation facade, the fleet layer.
  *
- * The batch facade (Simulation::run / runMulti) answers "what if
- * these N programs start together on a cold device?". A production
- * SSD instead serves a *stream* of arriving requests: jobs show up
- * over time, occupy logical-page regions while they run, and leave.
- * Device is that long-lived object — it owns one simulated SSD for
- * its whole lifetime and accepts jobs dynamically:
+ * A production SSD serves a *stream* of arriving requests: jobs show
+ * up over time, occupy logical-page regions while they run, and
+ * leave. Device is that long-lived object — it owns one simulated
+ * SSD for its whole lifetime and accepts jobs dynamically:
  *
  *   Device dev(opts);
  *   JobSpec spec;
@@ -28,11 +29,11 @@
  * completion times — so offered-load experiments (saturation curves,
  * SLO tails under churn) are first-class.
  *
- * Equivalence contract: a Device whose jobs all arrive at tick 0
- * reproduces Engine::run / Simulation::runMulti byte-identically
- * (same regions, same event sequence, same retire order), and a
- * single job reproduces Simulation::run. The batch facade is
- * re-implemented as a thin wrapper over this class.
+ * Batch semantics: jobs that all arrive at tick 0 on a fresh device
+ * are laid out in submission order, share the device from tick 0 and
+ * retire in submission order at quiescence — the "N programs start
+ * together on a cold SSD" cell of the paper's methodology. The
+ * facade's run/runMulti and runStreamsOnDevice are that case.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -66,8 +67,8 @@ using JobId = std::uint64_t;
  *
  * Jobs occupy contiguous regions; freeing coalesces with neighbours.
  * Allocation order is deterministic (lowest free base wins), so jobs
- * admitted in submission order from an empty pool land exactly where
- * Engine::run's spec-order layout puts them.
+ * admitted in submission order from an empty pool land contiguously,
+ * in submission order.
  */
 class RegionAllocator
 {
@@ -97,8 +98,8 @@ enum class RetirePolicy
 {
     /**
      * At device quiescence, in submission order — the batch
-     * semantics of Engine::run, byte-compatible with the facade's
-     * runMulti for simultaneous arrivals.
+     * semantics of the facade's run/runMulti and of the sweep
+     * runner's single-stream and multi-tenant cells.
      */
     OnQuiesce,
 
@@ -124,10 +125,9 @@ struct DeviceOptions
 
     /**
      * Logical-page pool backing job regions. 0 sizes the pool to the
-     * jobs pending at the first advance — exactly the footprint sum
-     * Engine::run prepares for, which is what makes simultaneous-
-     * arrival runs byte-identical to runMulti. Set it explicitly for
-     * open-ended operation with admission control.
+     * footprint sum of the jobs pending at the first advance, so a
+     * batch of simultaneous arrivals fits exactly. Set it explicitly
+     * for open-ended operation with admission control.
      */
     std::uint64_t capacityPages = 0;
 
@@ -248,7 +248,7 @@ struct DeviceSnapshot
     /** Retired jobs, in submission order. */
     std::vector<JobResult> jobs;
 
-    /** Device-level aggregate (same folding as runMulti's). */
+    /** Device-level aggregate (accumulateResult over the jobs). */
     RunResult aggregate;
 
     /** Latest job end (drains included). */
@@ -507,8 +507,10 @@ class Device
 /**
  * Run @p streams as tick-0 jobs on a fresh Device under @p opts and
  * convert the snapshot to the batch result shape — the shared body
- * of the facade's runStreams and the sweep runner's via-device path
- * (byte-identical to Engine::run by the equivalence contract).
+ * of the facade's runStreams and of the sweep runner's single-stream
+ * and multi-tenant cells.
+ * @throws std::invalid_argument when @p streams is empty or a stream
+ *         lacks a program or a policy.
  */
 sched::MultiRunResult
 runStreamsOnDevice(const DeviceOptions &opts,

@@ -824,22 +824,6 @@ Engine::drainStream(sched::ExecContext &ctx, Tick after)
     return end;
 }
 
-RunResult
-Engine::run(const Program &prog, OffloadPolicy &policy,
-            const EngineOptions &opts)
-{
-    // Non-owning aliases: the single-stream entry point borrows the
-    // caller's program and policy for the duration of the run.
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = std::shared_ptr<const Program>(
-        std::shared_ptr<const void>(), &prog);
-    streams[0].policy = std::shared_ptr<OffloadPolicy>(
-        std::shared_ptr<void>(), &policy);
-    sched::MultiRunResult mr = run(std::move(streams), opts);
-    mr.streams.front().eventsFired = mr.eventsFired;
-    return std::move(mr.streams.front());
-}
-
 void
 Engine::sessionBegin(std::uint64_t capacity_pages,
                      const EngineOptions &opts)
@@ -903,11 +887,11 @@ Engine::maybeScheduleScrub(Tick now)
         nextScrubAt_ += cfg_.reliability.scrubIntervalTicks;
     scrubScheduled_ = true;
     queue_->schedule(
-        nextScrubAt_, [this] { runScrubPass(); }, kScrubPriority);
+        nextScrubAt_, [this] { scrubPass(); }, kScrubPriority);
 }
 
 void
-Engine::runScrubPass()
+Engine::scrubPass()
 {
     scrubScheduled_ = false;
     nextScrubAt_ += cfg_.reliability.scrubIntervalTicks;
@@ -1039,57 +1023,6 @@ Engine::sessionReclaim(std::uint64_t base_page, std::uint64_t pages)
     }
 }
 
-sched::MultiRunResult
-Engine::run(std::vector<sched::StreamSpec> streams,
-            const EngineOptions &opts)
-{
-    if (streams.empty())
-        throw std::invalid_argument("Engine: no streams to run");
-    std::uint64_t total_pages = 0;
-    for (const auto &s : streams) {
-        if (!s.program || !s.policy)
-            throw std::invalid_argument(
-                "Engine: StreamSpec needs a program and a policy");
-        total_pages += s.program->footprintPages;
-    }
-
-    // The batch run is one session: streams laid out in disjoint
-    // page regions in spec order, all attached at tick 0. The
-    // contexts are kept alive on the engine after the run so
-    // post-run feature probes (features()) still see completion
-    // state — matching the pre-scheduler engine, whose completion
-    // vector persisted.
-    sessionBegin(total_pages, opts);
-    std::uint64_t base = 0;
-    for (const auto &s : streams) {
-        sessionAttach(s, base, 0);
-        base += s.program->footprintPages;
-    }
-    queue_->run();
-
-    sched::MultiRunResult mr;
-    mr.eventsFired = queue_->eventsFired();
-    for (auto &ctx : streamCtxs_) {
-        const Tick end = sessionFinish(ctx);
-        mr.makespan = std::max(mr.makespan, end);
-        mr.streams.push_back(std::move(ctx.result));
-    }
-
-    mr.aggregate = aggregateResults(mr.streams);
-    mr.aggregate.execTime = mr.makespan;
-    // Leave the first stream active so external feature probes
-    // address pages and dependence state exactly as that stream's
-    // dispatches did (single-stream: the whole device). The program
-    // and policy are borrowed from the caller and may die with this
-    // call — null the borrows so nothing can dereference them later.
-    for (auto &ctx : streamCtxs_) {
-        ctx.prog = nullptr;
-        ctx.policy = nullptr;
-    }
-    ctx_ = &streamCtxs_.front();
-    return mr;
-}
-
 Engine::Image
 Engine::captureImage() const
 {
@@ -1184,15 +1117,6 @@ accumulateResult(RunResult &agg, const RunResult &r)
     agg.replays += r.replays;
     agg.coherenceCommits += r.coherenceCommits;
     agg.latchEvictions += r.latchEvictions;
-}
-
-RunResult
-aggregateResults(const std::vector<RunResult> &streams)
-{
-    RunResult agg;
-    for (const RunResult &r : streams)
-        accumulateResult(agg, r);
-    return agg;
 }
 
 } // namespace conduit

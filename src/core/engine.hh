@@ -75,44 +75,24 @@ class Tracer;
 constexpr std::uint32_t kAutoDie = ~0U;
 
 /**
- * The runtime engine. One Engine instance executes one run — single-
- * or multi-stream — over a fresh simulated SSD.
+ * The runtime engine behind one simulated SSD. It has no entry point
+ * of its own: core::Device drives it through the session API below,
+ * and every program executes as a stream of a Device session.
  */
 class Engine : public sched::StreamDispatcher
 {
   public:
     explicit Engine(const SsdConfig &cfg);
 
-    /** Execute @p prog under @p policy (single-stream). */
-    RunResult run(const Program &prog, OffloadPolicy &policy,
-                  const EngineOptions &opts = {});
-
     /**
-     * Execute N streams concurrently on this one simulated SSD.
+     * @name Session API
      *
-     * Streams are laid out in disjoint logical-page regions (in spec
-     * order) and co-scheduled by a StreamScheduler on one event
-     * queue; they contend for every shared device resource. Results
-     * come back in spec order, plus a device-level aggregate.
-     *
-     * Deterministic: repeat runs with equal specs produce identical
-     * results, and a one-stream call matches the single-stream
-     * overload exactly.
-     */
-    sched::MultiRunResult run(std::vector<sched::StreamSpec> streams,
-                              const EngineOptions &opts = {});
-
-    /**
-     * @name Persistent-session API
-     *
-     * The long-lived device mode behind core::Device: one prepared
-     * SSD accepts streams ("jobs") over its lifetime instead of all
-     * at prepare() time. Streams attach at arbitrary simulated ticks
-     * into caller-assigned page regions, the shared event queue
-     * persists between job submissions, and a finished stream's
-     * region can be reclaimed for later jobs. Engine::run() is the
-     * batch special case: one session, every stream attached at tick
-     * 0, finished in attach order at quiescence.
+     * One prepared SSD accepts streams ("jobs") over its lifetime.
+     * Streams attach at arbitrary simulated ticks into caller-
+     * assigned page regions, the shared event queue persists between
+     * job submissions, and a finished stream's region can be
+     * reclaimed for later jobs. core::Device owns region assignment,
+     * admission and retirement.
      * @{
      */
 
@@ -166,9 +146,11 @@ class Engine : public sched::StreamDispatcher
      * Feature vector for @p instr at time @p now (testable). The
      * queue/bandwidth terms are live views of the shared resource
      * calendars; during a multi-stream run they include every other
-     * tenant's outstanding reservations. After a run, probes are
-     * evaluated in the first stream's context (page region and
-     * completion state), matching the pre-scheduler engine.
+     * tenant's outstanding reservations. Called during a dispatch,
+     * the probe sees the dispatching stream's page region and
+     * completion state; called between dispatches (e.g. after
+     * Device::drain), it addresses the whole page pool and reports no
+     * dependence delay.
      */
     CostFeatures features(const VecInstruction &instr, Tick now);
 
@@ -281,7 +263,7 @@ class Engine : public sched::StreamDispatcher
 
     /** One scrub pass: examine a bounded block window, refresh the
      *  blocks whose RBER crossed the scrub threshold. */
-    void runScrubPass();
+    void scrubPass();
     /** @} */
 
     /** Commit a dirty DRAM/latch page to the flash array. */
@@ -368,8 +350,7 @@ class Engine : public sched::StreamDispatcher
     /**
      * The session's execution contexts, in attach order; a deque so
      * addresses stay stable while a persistent session keeps
-     * attaching streams. Kept after a run so feature probes can
-     * consult completion state.
+     * attaching streams.
      */
     // lint: transient(captureImage requires quiescence: every context is complete and its results already live in the Device's retired jobs)
     std::deque<sched::ExecContext> streamCtxs_;
@@ -388,8 +369,7 @@ class Engine : public sched::StreamDispatcher
     /**
      * Stream whose dispatch (or drain) is currently being serviced;
      * movement/coherence helpers attribute results, energy, and page
-     * addressing through it. Between dispatches it is null; after a
-     * completed run it points at the first stream (feature probes).
+     * addressing through it. Between dispatches it is null.
      */
     sched::ExecContext *ctx_ = nullptr;
 
@@ -471,13 +451,10 @@ class Engine : public sched::StreamDispatcher
 
 /**
  * Fold @p r into @p agg: label joining ("+"), counter and busy-time
- * sums, latency-histogram merge. Shared by Engine::run's aggregate
- * and core::Device snapshots so both report identically.
+ * sums, latency-histogram merge — the device-level aggregate of a
+ * core::Device snapshot.
  */
 void accumulateResult(RunResult &agg, const RunResult &r);
-
-/** Device-level aggregate over per-stream results, in order. */
-RunResult aggregateResults(const std::vector<RunResult> &streams);
 
 } // namespace conduit
 

@@ -91,9 +91,9 @@ struct RunResult
     std::uint64_t latchEvictions = 0;
 
     /**
-     * Events the kernel fired for this run. Only single-stream
-     * engine runs report it here (multi-stream runs report the
-     * device-wide count on MultiRunResult / DeviceSnapshot); host
+     * Events the kernel fired for this run. Only the sweep runner's
+     * single-stream cells report it here (multi-stream runs report
+     * the device-wide count on MultiRunResult / DeviceSnapshot); host
      * baselines have no event kernel and leave it 0. Simulator
      * self-perf metadata — never part of the simulated results.
      */

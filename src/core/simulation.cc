@@ -97,8 +97,7 @@ sched::MultiRunResult
 Simulation::runStreams(std::vector<sched::StreamSpec> streams)
 {
     // Fresh device, every stream submitted as a job arriving at tick
-    // 0: byte-identical to the batch engine run (same region layout,
-    // event sequence, and submission-order retirement).
+    // 0 (regions in submission order, submission-order retirement).
     return runStreamsOnDevice(deviceOptionsFor(opts_),
                               std::move(streams));
 }
@@ -112,18 +111,9 @@ Simulation::runHost(WorkloadId id, bool gpu)
 RunResult
 Simulation::runHostProgram(const Program &prog, bool gpu) const
 {
-    HostModel model(opts_.config, gpu ? HostModel::Kind::Gpu
-                                      : HostModel::Kind::Cpu);
-    const HostResult hr = model.run(prog);
-    RunResult r;
+    RunResult r = runHostBaseline(opts_.config, prog, gpu);
     r.workload = prog.name;
     r.policy = gpu ? "GPU" : "CPU";
-    r.execTime = hr.totalTime;
-    r.instrCount = prog.instrs.size();
-    r.computeBusy = hr.computeTime;
-    r.hostDmBusy = hr.transferTime;
-    r.dmEnergyJ = hr.dmEnergyJ;
-    r.computeEnergyJ = hr.computeEnergyJ;
     return r;
 }
 
@@ -131,6 +121,22 @@ Device
 Simulation::makeDevice() const
 {
     return Device(deviceOptionsFor(opts_));
+}
+
+RunResult
+runHostBaseline(const SsdConfig &config, const Program &prog, bool gpu)
+{
+    HostModel model(config, gpu ? HostModel::Kind::Gpu
+                                : HostModel::Kind::Cpu);
+    const HostResult hr = model.run(prog);
+    RunResult r;
+    r.execTime = hr.totalTime;
+    r.instrCount = prog.instrs.size();
+    r.computeBusy = hr.computeTime;
+    r.hostDmBusy = hr.transferTime;
+    r.dmEnergyJ = hr.dmEnergyJ;
+    r.computeEnergyJ = hr.computeEnergyJ;
+    return r;
 }
 
 } // namespace conduit

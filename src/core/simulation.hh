@@ -124,6 +124,14 @@ class Simulation
     ProgramCache cache_;
 };
 
+/**
+ * Evaluate @p prog on the analytical host baseline (the CPU, or the
+ * GPU when @p gpu) under @p config, in the RunResult shape. The
+ * result is unlabelled: callers set workload and policy.
+ */
+RunResult runHostBaseline(const SsdConfig &config, const Program &prog,
+                          bool gpu);
+
 } // namespace conduit
 
 #endif // CONDUIT_CORE_SIMULATION_HH

@@ -136,7 +136,7 @@ struct StreamSlot
 
 /**
  * One multi-tenant cell: N streams co-running on one simulated SSD.
- * The whole cell is a single deterministic engine run; cells are
+ * The whole cell is a single deterministic device run; cells are
  * independent of each other, so a set of them can be swept across
  * worker threads exactly like single-stream RunSpecs.
  */
@@ -156,15 +156,6 @@ struct MultiRunSpec
 
     /** The co-running tenants, in result order. */
     std::vector<StreamSlot> streams;
-
-    /**
-     * Execute the cell through the persistent-device job API
-     * (core::Device, every stream a tick-0 job) instead of the
-     * direct batch engine run. Results are byte-identical by the
-     * Device equivalence contract — this switch exists so CI can
-     * diff the two paths against each other.
-     */
-    bool viaDevice = false;
 };
 
 /**

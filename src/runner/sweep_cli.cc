@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -94,8 +95,14 @@ SweepCli::parse(int argc, char **argv, const FlagHandler &extra,
             listAndExit(policyNames());
         else if (arg == "--threads")
             cli.threads = parseUnsigned(argv[0], arg, value());
-        else if (arg == "--scale")
-            cli.scale = parseDouble(argv[0], arg, value());
+        else if (arg == "--scale") {
+            const std::string v = value();
+            cli.scale = parseDouble(argv[0], arg, v);
+            // Dataset sizes are base * scale cast to integers: only a
+            // finite positive multiplier names a workload.
+            if (!(cli.scale > 0.0) || !std::isfinite(cli.scale))
+                badValue(argv[0], arg, v);
+        }
         else if (arg == "--workloads")
             cli.workloadFilter = value();
         else if (arg == "--techniques")

@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/host/host_model.hh"
+#include "src/core/simulation.hh"
 
 namespace conduit::runner
 {
@@ -93,6 +93,17 @@ agingCellLabel(const AgingRunSpec &spec)
                   static_cast<unsigned long>(spec.preWearCycles),
                   spec.retentionDays);
     return loadCellLabel(spec.load) + age;
+}
+
+/** The offered-load cell an aging cell runs: its load on an aged device. */
+LoadRunSpec
+agedLoad(const AgingRunSpec &spec)
+{
+    LoadRunSpec cell = spec.load;
+    cell.config.reliability.enabled = true;
+    cell.config.reliability.preWearCycles = spec.preWearCycles;
+    cell.config.reliability.retentionDays = spec.retentionDays;
+    return cell;
 }
 
 /** Resolve an offered-load cell's program (explicit > workload). */
@@ -358,29 +369,23 @@ SweepRunner::runOneCell(const RunSpec &spec,
         else if (spec.technique == "GPU")
             host = HostKind::Gpu;
     }
+    RunResult r;
     if (host != HostKind::None) {
-        const bool gpu = host == HostKind::Gpu;
-        HostModel model(spec.config, gpu ? HostModel::Kind::Gpu
-                                         : HostModel::Kind::Cpu);
-        const HostResult hr = model.run(*prog);
-        RunResult r;
-        r.workload = spec.workload;
-        r.policy = spec.technique;
-        r.execTime = hr.totalTime;
-        r.instrCount = prog->instrs.size();
-        r.computeBusy = hr.computeTime;
-        r.hostDmBusy = hr.transferTime;
-        r.dmEnergyJ = hr.dmEnergyJ;
-        r.computeEnergyJ = hr.computeEnergyJ;
-        return r;
+        r = runHostBaseline(spec.config, *prog, host == HostKind::Gpu);
+    } else {
+        // One tick-0 job on a fresh device: the paper's cold-SSD cell.
+        DeviceOptions dopts =
+            makeDeviceOptions(spec.config, spec.engine, spec.params);
+        dopts.tracer = tracer;
+        std::vector<sched::StreamSpec> streams(1);
+        streams[0].program = std::move(prog);
+        streams[0].policy = spec.policy ? spec.policy()
+                                        : makePolicy(spec.technique);
+        sched::MultiRunResult mr =
+            runStreamsOnDevice(dopts, std::move(streams));
+        r = std::move(mr.streams.front());
+        r.eventsFired = mr.eventsFired;
     }
-
-    auto policy = spec.policy ? spec.policy()
-                              : makePolicy(spec.technique);
-    Engine engine(spec.config);
-    if (tracer)
-        engine.setTracer(tracer.get());
-    RunResult r = engine.run(*prog, *policy, spec.engine);
     // Label with the spec's display names (a custom policy object's
     // own name may differ, e.g. ablation variants).
     r.workload = spec.workload;
@@ -430,22 +435,12 @@ SweepRunner::runMultiCell(const MultiRunSpec &spec,
         streams.push_back(std::move(s));
     }
 
-    sched::MultiRunResult mr;
-    if (spec.viaDevice) {
-        // Same cell through the persistent-device job API: every
-        // stream a tick-0 job on one fresh Device. Byte-identical to
-        // the direct engine run (the Device equivalence contract —
-        // CI diffs the two paths).
-        DeviceOptions dopts =
-            makeDeviceOptions(spec.config, spec.engine, spec.params);
-        dopts.tracer = tracer;
-        mr = runStreamsOnDevice(std::move(dopts), std::move(streams));
-    } else {
-        Engine engine(spec.config);
-        if (tracer)
-            engine.setTracer(tracer.get());
-        mr = engine.run(std::move(streams), spec.engine);
-    }
+    // Every stream a tick-0 job on one fresh Device.
+    DeviceOptions dopts =
+        makeDeviceOptions(spec.config, spec.engine, spec.params);
+    dopts.tracer = tracer;
+    sched::MultiRunResult mr =
+        runStreamsOnDevice(dopts, std::move(streams));
     // Label per-stream results with the slot's display technique (a
     // custom policy object's own name may differ), and rebuild the
     // aggregate's joined label so both agree.
@@ -563,11 +558,48 @@ SweepRunner::runLoad(const LoadRunSpec &spec)
 DeviceSnapshot
 SweepRunner::runAging(const AgingRunSpec &spec)
 {
-    LoadRunSpec cell = spec.load;
-    cell.config.reliability.enabled = true;
-    cell.config.reliability.preWearCycles = spec.preWearCycles;
-    cell.config.reliability.retentionDays = spec.retentionDays;
-    return runLoad(cell);
+    return runLoad(agedLoad(spec));
+}
+
+SweepRunner::WarmImages
+SweepRunner::buildWarmImages(const std::vector<const LoadRunSpec *> &recipes)
+{
+    // Recipes with equal warm-image keys share one image read-only
+    // (forking deep-copies), so an A-policies x B-ages sweep builds
+    // B images, not A*B.
+    const std::size_t n = recipes.size();
+    constexpr std::size_t kNone = ~std::size_t{0};
+    std::unordered_map<std::string, std::size_t> slots;
+    std::vector<std::size_t> slotOf(n, kNone);
+    std::vector<const LoadRunSpec *> builder;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!recipes[i])
+            continue;
+        const auto [it, fresh] =
+            slots.emplace(warmImageKey(*recipes[i]), builder.size());
+        if (fresh)
+            builder.push_back(recipes[i]);
+        slotOf[i] = it->second;
+    }
+
+    WarmImages warm;
+    warm.images.resize(n);
+    if (builder.empty())
+        return warm;
+    std::vector<std::shared_ptr<const DeviceImage>> images(
+        builder.size());
+    const auto w0 = std::chrono::steady_clock::now();
+    parallelFor(workerCount(builder.size()), builder.size(),
+                [&](std::size_t j) {
+                    images[j] = std::make_shared<const DeviceImage>(
+                        buildWarmImage(*builder[j]));
+                });
+    warm.seconds = sinceSeconds(w0);
+    warm.built = builder.size();
+    for (std::size_t i = 0; i < n; ++i)
+        if (slotOf[i] != kNone)
+            warm.images[i] = images[slotOf[i]];
+    return warm;
 }
 
 std::vector<DeviceSnapshot>
@@ -577,42 +609,11 @@ SweepRunner::runLoadSweep(const std::vector<LoadRunSpec> &specs,
     const std::size_t n = specs.size();
 
     // Phase 1: build each distinct warm image once, in parallel.
-    // Cells whose warm-phase inputs agree share one image read-only
-    // (forking deep-copies), so an A-policies x B-ages sweep builds
-    // B images, not A*B.
-    std::vector<std::shared_ptr<const DeviceImage>> cellImage(n);
-    double warmWall = 0.0;
-    std::size_t warmBuilt = 0;
-    {
-        std::unordered_map<std::string, std::size_t> slots;
-        std::vector<std::size_t> slotOf(n, n);
-        std::vector<std::size_t> builder;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!specs[i].steadyState || specs[i].warmupJobs == 0)
-                continue;
-            const auto [it, fresh] =
-                slots.emplace(warmImageKey(specs[i]), builder.size());
-            if (fresh)
-                builder.push_back(i);
-            slotOf[i] = it->second;
-        }
-        if (!builder.empty()) {
-            std::vector<std::shared_ptr<const DeviceImage>> images(
-                builder.size());
-            const auto w0 = std::chrono::steady_clock::now();
-            parallelFor(workerCount(builder.size()), builder.size(),
-                        [&](std::size_t j) {
-                            images[j] =
-                                std::make_shared<const DeviceImage>(
-                                    buildWarmImage(specs[builder[j]]));
-                        });
-            warmWall = sinceSeconds(w0);
-            warmBuilt = builder.size();
-            for (std::size_t i = 0; i < n; ++i)
-                if (slotOf[i] < n)
-                    cellImage[i] = images[slotOf[i]];
-        }
-    }
+    std::vector<const LoadRunSpec *> recipes(n, nullptr);
+    for (std::size_t i = 0; i < n; ++i)
+        if (specs[i].steadyState && specs[i].warmupJobs > 0)
+            recipes[i] = &specs[i];
+    const WarmImages warm = buildWarmImages(recipes);
 
     // Phase 2: the measured cells, forking from the shared images.
     std::vector<DeviceSnapshot> results(n);
@@ -621,14 +622,14 @@ SweepRunner::runLoadSweep(const std::vector<LoadRunSpec> &specs,
             const auto c0 = std::chrono::steady_clock::now();
             auto tracer = makeTracer(opts_.trace);
             results[i] =
-                runLoadCell(specs[i], cellImage[i].get(), tracer);
+                runLoadCell(specs[i], warm.images[i].get(), tracer);
             traceCells_[i] = {labels[i], std::move(tracer)};
             recordCell(i, labels[i], sinceSeconds(c0),
                        results[i].eventsFired);
         });
     });
-    perfWarmWall_ = warmWall;
-    perfWarmImages_ = warmBuilt;
+    perfWarmWall_ = warm.seconds;
+    perfWarmImages_ = warm.built;
     return results;
 }
 
@@ -643,11 +644,7 @@ SweepRunner::runAgingAll(const std::vector<AgingRunSpec> &specs)
     cells.reserve(specs.size());
     labels.reserve(specs.size());
     for (const AgingRunSpec &spec : specs) {
-        LoadRunSpec cell = spec.load;
-        cell.config.reliability.enabled = true;
-        cell.config.reliability.preWearCycles = spec.preWearCycles;
-        cell.config.reliability.retentionDays = spec.retentionDays;
-        cells.push_back(std::move(cell));
+        cells.push_back(agedLoad(spec));
         labels.push_back(agingCellLabel(spec));
     }
     return runLoadSweep(cells, labels);
@@ -811,47 +808,31 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
     // rung, warm traffic — so it collapses equal rungs both within a
     // fleet and across cells (a P-policies x R-rungs sweep builds R
     // images, not P*R*devices).
-    std::vector<std::vector<std::shared_ptr<const DeviceImage>>>
-        cellImages(n);
-    double warmWall = 0.0;
-    std::size_t warmBuilt = 0;
-    {
-        std::unordered_map<std::string, std::size_t> slots;
-        std::vector<LoadRunSpec> recipes;
-        std::vector<std::vector<std::size_t>> slotOf(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            cellImages[i].assign(specs[i].devices, nullptr);
-            if (specs[i].warmupJobs == 0 || specs[i].devices == 0 ||
-                specs[i].tenants.empty())
+    std::size_t totalDevices = 0;
+    for (const ClusterRunSpec &spec : specs)
+        totalDevices += spec.devices;
+    std::vector<LoadRunSpec> recipeStore;
+    recipeStore.reserve(totalDevices); // stable addresses below
+    std::vector<const LoadRunSpec *> recipes;
+    recipes.reserve(totalDevices);
+    for (const ClusterRunSpec &spec : specs) {
+        const bool warmed = spec.warmupJobs > 0 && !spec.tenants.empty();
+        for (std::size_t d = 0; d < spec.devices; ++d) {
+            if (!warmed) {
+                recipes.push_back(nullptr);
                 continue;
-            slotOf[i].assign(specs[i].devices, 0);
-            for (std::size_t d = 0; d < specs[i].devices; ++d) {
-                LoadRunSpec recipe = clusterDeviceRecipe(
-                    specs[i], clusterRung(specs[i], d));
-                const auto [it, fresh] = slots.emplace(
-                    warmImageKey(recipe), recipes.size());
-                if (fresh)
-                    recipes.push_back(std::move(recipe));
-                slotOf[i][d] = it->second;
             }
-        }
-        if (!recipes.empty()) {
-            std::vector<std::shared_ptr<const DeviceImage>> images(
-                recipes.size());
-            const auto w0 = std::chrono::steady_clock::now();
-            parallelFor(workerCount(recipes.size()), recipes.size(),
-                        [&](std::size_t j) {
-                            images[j] =
-                                std::make_shared<const DeviceImage>(
-                                    buildWarmImage(recipes[j]));
-                        });
-            warmWall = sinceSeconds(w0);
-            warmBuilt = recipes.size();
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t d = 0; d < slotOf[i].size(); ++d)
-                    cellImages[i][d] = images[slotOf[i][d]];
+            recipeStore.push_back(
+                clusterDeviceRecipe(spec, clusterRung(spec, d)));
+            recipes.push_back(&recipeStore.back());
         }
     }
+    const WarmImages warm = buildWarmImages(recipes);
+    std::vector<std::vector<std::shared_ptr<const DeviceImage>>>
+        cellImages(n);
+    for (std::size_t i = 0, at = 0; i < n; at += specs[i].devices, ++i)
+        cellImages[i].assign(warm.images.begin() + at,
+                             warm.images.begin() + at + specs[i].devices);
 
     // Phase 2: the fleet cells, forking from the shared images.
     std::vector<cluster::ClusterSnapshot> results(n);
@@ -870,8 +851,8 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
                        sinceSeconds(c0), results[i].eventsFired);
         });
     });
-    perfWarmWall_ = warmWall;
-    perfWarmImages_ = warmBuilt;
+    perfWarmWall_ = warm.seconds;
+    perfWarmImages_ = warm.built;
     return results;
 }
 

@@ -3,9 +3,10 @@
  * Thread-pooled sweep execution.
  *
  * SweepRunner executes a vector of RunSpecs across worker threads.
- * Every run is fully independent — its own Engine (fresh simulated
- * SSD), its own policy object, and a deterministic seed derived only
- * from the spec — so the result of spec i is bit-identical whether
+ * Every run is fully independent — its own core::Device (fresh
+ * simulated SSD), its own policy object, and a deterministic seed
+ * derived only from the spec — so the result of spec i is
+ * bit-identical whether
  * the sweep runs on 1 thread or N, and whatever order the scheduler
  * interleaves the workers in. Compiled programs are shared through
  * an immutable ProgramCache.
@@ -130,7 +131,7 @@ class SweepRunner
 
     /**
      * Execute every multi-tenant cell across the worker pool and
-     * return results in spec order (cells are independent engine
+     * return results in spec order (cells are independent device
      * runs, so results are thread-count invariant like run()).
      */
     std::vector<sched::MultiRunResult>
@@ -255,6 +256,25 @@ class SweepRunner
     DeviceSnapshot
     runLoadCell(const LoadRunSpec &spec, const DeviceImage *warm,
                 const std::shared_ptr<trace::Tracer> &tracer);
+
+    /** Warm images built for a sweep, plus their attribution. */
+    struct WarmImages
+    {
+        /** One entry per recipe (null where none was asked for). */
+        std::vector<std::shared_ptr<const DeviceImage>> images;
+        /** Wall time of the parallel build (lastPerf warmup). */
+        double seconds = 0.0;
+        /** Distinct images built. */
+        std::size_t built = 0;
+    };
+
+    /**
+     * Build the warm image of every non-null recipe, in parallel and
+     * once per distinct warm phase: recipes with equal warm-phase
+     * inputs share one read-only image.
+     */
+    WarmImages
+    buildWarmImages(const std::vector<const LoadRunSpec *> &recipes);
 
     /**
      * Sweep @p specs with warm-image sharing: distinct warm images

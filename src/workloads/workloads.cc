@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace conduit
 {
@@ -13,8 +14,15 @@ namespace
 std::uint64_t
 scaled(double base, double scale, std::uint64_t minimum = 4096)
 {
-    return std::max<std::uint64_t>(
-        minimum, static_cast<std::uint64_t>(base * scale));
+    // Reject before the cast: converting a negative, NaN or
+    // out-of-range double to uint64_t is undefined behaviour.
+    const double n = base * scale;
+    if (!(scale > 0.0) || !(n < 18446744073709551616.0))
+        throw std::invalid_argument(
+            "workload scale must be a finite positive number, got " +
+            std::to_string(scale));
+    return std::max<std::uint64_t>(minimum,
+                                   static_cast<std::uint64_t>(n));
 }
 
 /**

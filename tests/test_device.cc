@@ -1,19 +1,17 @@
 /**
  * @file
- * Tests for the persistent-device job API: byte-identical equivalence
- * of tick-0 Device runs with the batch engine (and of the rebuilt
- * facade wrappers), arrival semantics (staggered-arrival determinism
- * across repeats and thread counts, causality of late arrivals),
- * region allocation/reclamation across job lifetimes, wait()
- * semantics, admission queueing under a bounded page pool, and the
- * deterministic arrival processes.
+ * Tests for the persistent-device job API: the batch layout of
+ * tick-0 jobs (and its runStreamsOnDevice wrapper), arrival semantics
+ * (staggered-arrival determinism across repeats and thread counts,
+ * causality of late arrivals), region allocation/reclamation across
+ * job lifetimes, wait() semantics, admission queueing under a bounded
+ * page pool, and the deterministic arrival processes.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_runner.hh"
 
 namespace conduit
@@ -76,7 +74,7 @@ testDeviceOptions()
     return d;
 }
 
-// ------------------------------------------- equivalence contract
+// ---------------------------------------------------- batch layout
 
 TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
 {
@@ -98,8 +96,10 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     }
     const DeviceSnapshot snap = dev.drain();
 
-    Engine eng(testCfg());
-    const sched::MultiRunResult mr = eng.run(std::move(streams));
+    // The batch wrapper (facade runStreams, runner cells) is the
+    // same submissions on a fresh device.
+    const sched::MultiRunResult mr =
+        runStreamsOnDevice(testDeviceOptions(), std::move(streams));
 
     ASSERT_EQ(snap.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
@@ -113,53 +113,6 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     // Regions laid out in submission order, like spec order.
     EXPECT_EQ(snap.jobs[0].basePage, 0u);
     EXPECT_EQ(snap.jobs[1].basePage, snap.jobs[0].pages);
-}
-
-TEST(Device, SingleJobReproducesSingleStreamEngineRun)
-{
-    auto prog = chainProgram("solo", 32);
-    Engine eng(testCfg());
-    ConduitPolicy pol;
-    const RunResult direct = eng.run(*prog, pol);
-
-    Device dev(testDeviceOptions());
-    JobSpec job;
-    job.program = prog;
-    job.policy = "Conduit";
-    const JobId id = dev.submit(job);
-    expectSameResult(dev.wait(id).result, direct);
-}
-
-TEST(Device, FacadeWrappersStayByteIdenticalToEngine)
-{
-    // Simulation::run / runMulti are thin wrappers over Device; they
-    // must reproduce a direct engine run exactly.
-    SimOptions so;
-    so.workload.scale = 0.25;
-    Simulation sim(so);
-    const RunResult viaFacade = sim.run(WorkloadId::Aes, "Conduit");
-
-    const VectorizedProgram &vp = sim.compile(WorkloadId::Aes);
-    Engine eng(so.config);
-    auto policy = makePolicy("Conduit");
-    RunResult direct = eng.run(vp.program, *policy);
-    direct.workload = viaFacade.workload; // facade labels by workload
-    expectSameResult(viaFacade, direct);
-}
-
-TEST(Device, IdealPolicyJobMatchesEngineRun)
-{
-    auto prog = chainProgram("ideal", 16);
-    Engine eng(testCfg());
-    IdealPolicy pol;
-    const RunResult direct = eng.run(*prog, pol);
-
-    Device dev(testDeviceOptions());
-    JobSpec job;
-    job.program = prog;
-    job.policy = "Ideal";
-    const JobId id = dev.submit(job);
-    expectSameResult(dev.wait(id).result, direct);
 }
 
 // ------------------------------------------------ arrival semantics

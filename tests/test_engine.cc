@@ -7,13 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
 #include "src/trace/trace.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
 namespace
 {
+
+using test::runSolo;
 
 SsdConfig
 testCfg()
@@ -22,13 +24,19 @@ testCfg()
 }
 
 /** An occupancy-only tracer (the instruction-timeline source). */
-trace::Tracer
+std::shared_ptr<trace::Tracer>
 occupancyTracer()
 {
     trace::TraceConfig cfg;
     cfg.categories =
         static_cast<std::uint32_t>(trace::Category::Occupancy);
-    return trace::Tracer(cfg);
+    return std::make_shared<trace::Tracer>(cfg);
+}
+
+DeviceOptions
+testOptions(const EngineOptions &opts = {})
+{
+    return makeDeviceOptions(testCfg(), opts, {});
 }
 
 /**
@@ -60,15 +68,15 @@ chainProgram(std::size_t n, OpCode op = OpCode::Add,
 
 TEST(Engine, RunsAndProducesMonotoneChainCompletions)
 {
-    Engine eng(testCfg());
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
+    DeviceOptions opts = testOptions();
+    opts.tracer = occupancyTracer();
+    Device dev(opts);
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(16), pol);
+    auto r = runSolo(dev, chainProgram(16), pol);
     EXPECT_EQ(r.instrCount, 16u);
     EXPECT_GT(r.execTime, 0u);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*opts.tracer);
     ASSERT_EQ(tl.completion.size(), 16u);
     // Serial RAW chain: completions strictly increase.
     for (std::size_t i = 1; i < tl.completion.size(); ++i)
@@ -77,19 +85,19 @@ TEST(Engine, RunsAndProducesMonotoneChainCompletions)
 
 TEST(Engine, IndependentInstructionsOverlap)
 {
-    Engine s(testCfg()), p(testCfg());
     ConduitPolicy pol;
-    auto serial = s.run(chainProgram(24, OpCode::Add, true), pol);
-    auto parallel = p.run(chainProgram(24, OpCode::Add, false), pol);
+    auto serial =
+        runSolo(testCfg(), chainProgram(24, OpCode::Add, true), pol);
+    auto parallel =
+        runSolo(testCfg(), chainProgram(24, OpCode::Add, false), pol);
     // Removing the dependence chain shortens execution.
     EXPECT_LT(parallel.execTime, serial.execTime);
 }
 
 TEST(Engine, PerResourceCountsCoverAllInstructions)
 {
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(20), pol);
+    auto r = runSolo(testCfg(), chainProgram(20), pol);
     EXPECT_EQ(r.perResource[0] + r.perResource[1] + r.perResource[2],
               r.instrCount);
 }
@@ -99,9 +107,8 @@ TEST(Engine, ScalarInstructionsRunOnIsp)
     Program prog = chainProgram(6);
     for (auto &vi : prog.instrs)
         vi.vectorized = false;
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runSolo(testCfg(), prog, pol);
     EXPECT_EQ(r.perResource[static_cast<int>(Target::Isp)],
               prog.instrs.size());
 }
@@ -109,9 +116,8 @@ TEST(Engine, ScalarInstructionsRunOnIsp)
 TEST(Engine, UnsupportedOpsNeverReachNarrowSubstrates)
 {
     Program prog = chainProgram(8, OpCode::Gather);
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runSolo(testCfg(), prog, pol);
     // Gather is ISP-only.
     EXPECT_EQ(r.perResource[static_cast<int>(Target::Isp)], 8u);
 }
@@ -119,21 +125,19 @@ TEST(Engine, UnsupportedOpsNeverReachNarrowSubstrates)
 TEST(Engine, FootprintBeyondCapacityRejected)
 {
     SsdConfig cfg = testCfg();
-    Engine eng(cfg);
     Program prog = chainProgram(2);
     prog.footprintPages = cfg.nand.totalPages() * 2;
     ConduitPolicy pol;
-    EXPECT_THROW(eng.run(prog, pol), std::invalid_argument);
+    EXPECT_THROW(runSolo(cfg, prog, pol), std::invalid_argument);
 }
 
 TEST(Engine, IdealModeSkipsOverheadAndMovement)
 {
     Program prog = chainProgram(32);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy conduit;
     IdealPolicy ideal;
-    auto real = a.run(prog, conduit);
-    auto id = b.run(prog, ideal);
+    auto real = runSolo(testCfg(), prog, conduit);
+    auto id = runSolo(testCfg(), prog, ideal);
     EXPECT_LT(id.execTime, real.execTime);
     EXPECT_EQ(id.offloaderBusy, 0u);
     EXPECT_EQ(id.internalDmBusy, 0u);
@@ -145,25 +149,22 @@ TEST(Engine, IdealModeSkipsOverheadAndMovement)
 TEST(Engine, FaultInjectionReplaysAndStillCompletes)
 {
     Program prog = chainProgram(64);
-    Engine eng(testCfg());
     ConduitPolicy pol;
     EngineOptions opts;
     opts.transientFaultRate = 0.25;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runSolo(testCfg(), prog, pol, opts);
     EXPECT_GT(r.faultsInjected, 0u);
     EXPECT_EQ(r.replays, r.faultsInjected);
     EXPECT_EQ(r.latencyUs.count(), prog.instrs.size());
     // Replays lengthen execution versus a fault-free run.
-    Engine clean(testCfg());
-    auto c = clean.run(prog, pol);
+    auto c = runSolo(testCfg(), prog, pol);
     EXPECT_GT(r.execTime, c.execTime);
 }
 
 TEST(Engine, FaultFreeRunInjectsNothing)
 {
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(32), pol);
+    auto r = runSolo(testCfg(), chainProgram(32), pol);
     EXPECT_EQ(r.faultsInjected, 0u);
     EXPECT_EQ(r.replays, 0u);
 }
@@ -187,11 +188,10 @@ TEST(Engine, VersionCounterFlushesBeforeWrap)
             vi.deps = {i - 1};
         prog.instrs.push_back(vi);
     }
-    Engine eng(testCfg());
     ConduitPolicy pol;
     EngineOptions opts;
     opts.versionFlushThreshold = 8;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runSolo(testCfg(), prog, pol, opts);
     // 40 writes with threshold 8 force several coherence commits.
     EXPECT_GE(r.coherenceCommits, writes / 8 - 1);
 }
@@ -217,11 +217,10 @@ TEST(Engine, LatchPressureForcesEvictions)
     // Tiny device: few dies, so latch capacity is scarce.
     cfg.nand.channels = 1;
     cfg.nand.diesPerChannel = 2;
-    Engine eng(cfg);
     AresFlashPolicy pol; // everything to IFP
     EngineOptions opts;
     opts.latchPagesPerDie = 2;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runSolo(cfg, prog, pol, opts);
     EXPECT_GT(r.latchEvictions, 0u);
     EXPECT_GE(r.coherenceCommits, r.latchEvictions);
 }
@@ -251,14 +250,12 @@ TEST(Engine, DramStagingPressureForcesWritebacks)
     // without the end-of-run commit of whatever stayed resident.
     EngineOptions relaxed; // default: staging far exceeds footprint
     relaxed.drainResults = false;
-    Engine a(testCfg());
-    auto free = a.run(prog, *pud, relaxed);
+    auto free = runSolo(testCfg(), prog, *pud, relaxed);
 
     EngineOptions pressured;
     pressured.drainResults = false;
     pressured.dramStagingFraction = 0.05; // 64-page floor applies
-    Engine b(testCfg());
-    auto tight = b.run(prog, *pud, pressured);
+    auto tight = runSolo(testCfg(), prog, *pud, pressured);
 
     EXPECT_GT(tight.coherenceCommits, free.coherenceCommits);
     EXPECT_GT(tight.internalDmBusy, free.internalDmBusy);
@@ -271,8 +268,7 @@ TEST(Engine, AmpleStagingNeverEvicts)
     // fraction stays resident: no capacity-driven commits at all.
     Program prog = chainProgram(32);
     auto pud = makePolicy("PuD-SSD");
-    Engine eng(testCfg());
-    auto r = eng.run(prog, *pud);
+    auto r = runSolo(testCfg(), prog, *pud);
     EXPECT_EQ(r.coherenceCommits, 0u);
 }
 
@@ -302,9 +298,8 @@ TEST(Engine, LatchSpillScalesWithCapacity)
     EngineOptions tiny, roomy;
     tiny.latchPagesPerDie = 2;
     roomy.latchPagesPerDie = 4096;
-    Engine a(cfg), b(cfg);
-    auto spills = a.run(prog, pol, tiny);
-    auto clean = b.run(prog, pol, roomy);
+    auto spills = runSolo(cfg, prog, pol, tiny);
+    auto clean = runSolo(cfg, prog, pol, roomy);
     EXPECT_GT(spills.latchEvictions, 0u);
     EXPECT_EQ(clean.latchEvictions, 0u);
     EXPECT_LT(clean.latchEvictions, spills.latchEvictions);
@@ -313,12 +308,11 @@ TEST(Engine, LatchSpillScalesWithCapacity)
 TEST(Engine, DrainChargesHostTransfer)
 {
     Program prog = chainProgram(8);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy pol;
     EngineOptions with, without;
     without.drainResults = false;
-    auto rw = a.run(prog, pol, with);
-    auto ro = b.run(prog, pol, without);
+    auto rw = runSolo(testCfg(), prog, pol, with);
+    auto ro = runSolo(testCfg(), prog, pol, without);
     EXPECT_GT(rw.hostDmBusy, 0u);
     EXPECT_EQ(ro.hostDmBusy, 0u);
     EXPECT_GE(rw.execTime, ro.execTime);
@@ -326,14 +320,12 @@ TEST(Engine, DrainChargesHostTransfer)
 
 TEST(Engine, FeatureVectorMatchesSubstrateSupport)
 {
-    Engine eng(testCfg());
+    Device dev(testOptions());
     Program prog = chainProgram(1, OpCode::Mul);
     ConduitPolicy pol;
-    eng.run(prog, pol); // prepare state
+    runSolo(dev, prog, pol); // prepare state (pages preloaded)
     VecInstruction vi = prog.instrs[0];
-    // A fresh engine is required for feature probing mid-state; use
-    // the same one (pages already preloaded).
-    CostFeatures f = eng.features(vi, 0);
+    CostFeatures f = dev.engine().features(vi, 0);
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Isp)]);
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Pud)]);
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Ifp)]);
@@ -341,26 +333,51 @@ TEST(Engine, FeatureVectorMatchesSubstrateSupport)
     EXPECT_LT(f.comp[static_cast<int>(Target::Pud)], kMaxTick);
 }
 
-TEST(Engine, FeatureProbeSeesDependenceDelayAfterRun)
+/** Wraps a policy, recording the features of every decision. */
+class RecordingPolicy : public OffloadPolicy
 {
-    // features() after a run consults the run's completion state:
-    // an instruction depending on a completed producer reports the
-    // producer's completion tick as dependence delay at now=0.
+  public:
+    explicit RecordingPolicy(OffloadPolicy &inner) : inner_(inner) {}
+
+    Target
+    select(const VecInstruction &instr, const CostFeatures &f) override
+    {
+        seen.push_back(f);
+        return inner_.select(instr, f);
+    }
+
+    std::string name() const override { return inner_.name(); }
+    bool ideal() const override { return inner_.ideal(); }
+
+    std::vector<CostFeatures> seen;
+
+  private:
+    OffloadPolicy &inner_;
+};
+
+TEST(Engine, DecisionSeesDependenceDelayOfInFlightProducer)
+{
+    // Dispatch is pipelined: the next instruction issues when the
+    // previous one's dispatch stage ends, before that producer
+    // completes. So every consumer of a serial chain is decided
+    // while its producer is still in flight, and its features must
+    // carry the wait as dependence delay.
     Program prog = chainProgram(4);
-    Engine eng(testCfg());
-    ConduitPolicy pol;
-    eng.run(prog, pol);
-    CostFeatures f = eng.features(prog.instrs[3], 0);
-    EXPECT_GT(f.depDelay, 0u);
+    ConduitPolicy conduit;
+    RecordingPolicy pol(conduit);
+    runSolo(testCfg(), prog, pol);
+    ASSERT_EQ(pol.seen.size(), prog.instrs.size());
+    EXPECT_EQ(pol.seen[0].depDelay, 0u);
+    for (std::size_t i = 1; i < pol.seen.size(); ++i)
+        EXPECT_GT(pol.seen[i].depDelay, 0u) << "instruction " << i;
 }
 
 TEST(Engine, DeterministicAcrossIdenticalRuns)
 {
     Program prog = chainProgram(40);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy p1, p2;
-    auto r1 = a.run(prog, p1);
-    auto r2 = b.run(prog, p2);
+    auto r1 = runSolo(testCfg(), prog, p1);
+    auto r2 = runSolo(testCfg(), prog, p2);
     EXPECT_EQ(r1.execTime, r2.execTime);
     EXPECT_EQ(r1.perResource, r2.perResource);
     EXPECT_DOUBLE_EQ(r1.energyJ(), r2.energyJ());
@@ -369,9 +386,8 @@ TEST(Engine, DeterministicAcrossIdenticalRuns)
 TEST(Engine, LatencyHistogramCoversEveryInstruction)
 {
     Program prog = chainProgram(25);
-    Engine eng(testCfg());
     DmOffloadPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runSolo(testCfg(), prog, pol);
     EXPECT_EQ(r.latencyUs.count(), 25u);
     EXPECT_GT(r.latencyUs.min(), 0.0);
     EXPECT_GE(r.latencyUs.percentile(99.99), r.latencyUs.percentile(99));
@@ -403,9 +419,8 @@ TEST_P(EveryPolicy, CompletesMixedProgram)
         }
     }
     prog.footprintPages = 48;
-    Engine eng(testCfg());
     auto pol = makePolicy(GetParam());
-    auto r = eng.run(prog, *pol);
+    auto r = runSolo(testCfg(), prog, *pol);
     EXPECT_EQ(r.instrCount, prog.instrs.size());
     EXPECT_GT(r.execTime, 0u);
     EXPECT_GT(r.energyJ(), 0.0);

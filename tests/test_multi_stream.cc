@@ -1,21 +1,23 @@
 /**
  * @file
- * Tests for the event-driven multi-stream engine: determinism of
- * co-run streams across repeat executions, equivalence of the
- * single-stream overload with a one-element multi-stream run,
- * cross-tenant contention visibility, aggregate accounting, and the
+ * Tests for event-driven multi-stream execution (streams as tick-0
+ * jobs on one Device, via runStreamsOnDevice): determinism of co-run
+ * streams across repeat executions, cross-tenant contention
+ * visibility, aggregate accounting, input validation, and the
  * Simulation facade's tenant API.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
 #include "src/core/simulation.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
 namespace
 {
+
+using test::runSolo;
 
 SsdConfig
 testCfg()
@@ -45,6 +47,15 @@ chainProgram(const std::string &name, std::size_t n,
     }
     prog->footprintPages = 12 * n + 4;
     return prog;
+}
+
+/** Co-run @p streams on a fresh device over @p cfg. */
+sched::MultiRunResult
+coRun(std::vector<sched::StreamSpec> streams,
+      const SsdConfig &cfg = testCfg())
+{
+    return runStreamsOnDevice(makeDeviceOptions(cfg, {}, {}),
+                              std::move(streams));
 }
 
 std::vector<sched::StreamSpec>
@@ -79,9 +90,8 @@ expectSameResult(const RunResult &x, const RunResult &y)
 
 TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
 {
-    Engine a(testCfg()), b(testCfg());
-    auto r1 = a.run(twoStreams());
-    auto r2 = b.run(twoStreams());
+    auto r1 = coRun(twoStreams());
+    auto r2 = coRun(twoStreams());
     ASSERT_EQ(r1.streams.size(), 2u);
     ASSERT_EQ(r2.streams.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
@@ -90,28 +100,11 @@ TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
     EXPECT_EQ(r1.eventsFired, r2.eventsFired);
 }
 
-TEST(MultiStream, OneStreamRunMatchesSingleStreamOverload)
-{
-    auto prog = chainProgram("solo", 32);
-    Engine single(testCfg()), multi(testCfg());
-    ConduitPolicy pol;
-    RunResult s = single.run(*prog, pol);
-
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    auto m = multi.run(std::move(streams));
-    ASSERT_EQ(m.streams.size(), 1u);
-    expectSameResult(s, m.streams.front());
-    EXPECT_EQ(m.makespan, s.execTime);
-}
-
 TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
 {
     auto prog = chainProgram("hot", 32);
-    Engine iso(testCfg());
     ConduitPolicy pol;
-    const RunResult alone = iso.run(*prog, pol);
+    const RunResult alone = runSolo(testCfg(), *prog, pol);
 
     std::vector<sched::StreamSpec> streams(2);
     streams[0].name = "first";
@@ -120,8 +113,7 @@ TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
     streams[1].name = "second";
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine colo(testCfg());
-    auto m = colo.run(std::move(streams));
+    auto m = coRun(std::move(streams));
 
     // Contention can only delay a stream, never speed it up — and
     // with two identical tenants on one device at least one must
@@ -137,17 +129,15 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
     // co-run changes what a cost-based policy observes; at minimum
     // the per-stream latency tail shifts versus isolation.
     auto prog = chainProgram("tail", 48);
-    Engine iso(testCfg());
     ConduitPolicy pol;
-    const RunResult alone = iso.run(*prog, pol);
+    const RunResult alone = runSolo(testCfg(), *prog, pol);
 
     std::vector<sched::StreamSpec> streams(2);
     streams[0].program = prog;
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine colo(testCfg());
-    auto m = colo.run(std::move(streams));
+    auto m = coRun(std::move(streams));
     const double isoP99 = alone.latencyUs.percentile(99);
     const double coloP99 =
         std::max(m.streams[0].latencyUs.percentile(99),
@@ -157,8 +147,7 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
 
 TEST(MultiStream, AggregateSumsPerStreamCounters)
 {
-    Engine eng(testCfg());
-    auto m = eng.run(twoStreams());
+    auto m = coRun(twoStreams());
     const RunResult &agg = m.aggregate;
     EXPECT_EQ(agg.instrCount,
               m.streams[0].instrCount + m.streams[1].instrCount);
@@ -183,8 +172,7 @@ TEST(MultiStream, StreamsOccupyDisjointPageRegions)
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = chainProgram("y", 16);
     streams[1].policy = makePolicy("Conduit");
-    Engine eng(testCfg());
-    auto m = eng.run(std::move(streams));
+    auto m = coRun(std::move(streams));
     EXPECT_EQ(m.streams[0].instrCount, 8u);
     EXPECT_EQ(m.streams[1].instrCount, 16u);
 }
@@ -200,19 +188,28 @@ TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine eng(cfg);
-    EXPECT_THROW(eng.run(std::move(streams)), std::invalid_argument);
+    EXPECT_THROW(coRun(std::move(streams), cfg), std::invalid_argument);
 }
 
 TEST(MultiStream, MissingProgramOrPolicyRejected)
 {
-    Engine eng(testCfg());
-    std::vector<sched::StreamSpec> none;
-    EXPECT_THROW(eng.run(std::move(none)), std::invalid_argument);
+    EXPECT_THROW(coRun({}), std::invalid_argument);
 
-    std::vector<sched::StreamSpec> broken(1);
-    broken[0].program = chainProgram("z", 2);
-    EXPECT_THROW(eng.run(std::move(broken)), std::invalid_argument);
+    // A stream without a policy must not fall back to a default one.
+    std::vector<sched::StreamSpec> noPolicy(1);
+    noPolicy[0].program = chainProgram("z", 2);
+    EXPECT_THROW(coRun(std::move(noPolicy)), std::invalid_argument);
+
+    std::vector<sched::StreamSpec> noProgram(1);
+    noProgram[0].policy = makePolicy("Conduit");
+    EXPECT_THROW(coRun(std::move(noProgram)), std::invalid_argument);
+
+    // The facade's stream entry point is the same path.
+    std::vector<sched::StreamSpec> viaFacade(1);
+    viaFacade[0].program = chainProgram("f", 2);
+    Simulation sim;
+    EXPECT_THROW(sim.runStreams(std::move(viaFacade)),
+                 std::invalid_argument);
 }
 
 TEST(MultiStream, FacadeTenantsRunDeterministically)

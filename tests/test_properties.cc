@@ -11,29 +11,37 @@
 
 #include <vector>
 
-#include "src/core/engine.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/server.hh"
 #include "src/trace/trace.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
 namespace
 {
 
+using test::runSolo;
+
 class RandomSeeds : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
-/** An occupancy-only tracer (the instruction-timeline source). */
-trace::Tracer
-occupancyTracer()
+/**
+ * Fresh-device options with an occupancy-only tracer (the
+ * instruction-timeline source).
+ */
+DeviceOptions
+tracedOptions(const EngineOptions &opts = {})
 {
+    DeviceOptions d =
+        makeDeviceOptions(SsdConfig::scaled(1.0 / 256.0), opts, {});
     trace::TraceConfig cfg;
     cfg.categories =
         static_cast<std::uint32_t>(trace::Category::Occupancy);
-    return trace::Tracer(cfg);
+    d.tracer = std::make_shared<trace::Tracer>(cfg);
+    return d;
 }
 
 TEST_P(RandomSeeds, ServerIntervalsNeverOverlapAndFcfsHolds)
@@ -137,11 +145,10 @@ randomProgram(std::uint64_t seed, std::size_t n)
 TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
 {
     const Program prog = randomProgram(GetParam(), 120);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
+    const DeviceOptions dopts = tracedOptions();
+    Device dev(dopts);
     ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runSolo(dev, prog, pol);
 
     // Everything executed exactly once, somewhere.
     ASSERT_EQ(r.instrCount, prog.instrs.size());
@@ -149,7 +156,7 @@ TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
               r.instrCount);
     ASSERT_EQ(r.latencyUs.count(), prog.instrs.size());
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*dopts.tracer);
     ASSERT_EQ(tl.completion.size(), prog.instrs.size());
 
     // Dependence ordering: a consumer never completes before its
@@ -180,14 +187,13 @@ TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
 TEST_P(RandomSeeds, PolicyChoicesAlwaysRespectCapabilities)
 {
     const Program prog = randomProgram(GetParam() ^ 0xABCD, 80);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
+    const DeviceOptions dopts = tracedOptions();
+    Device dev(dopts);
     auto pol = makePolicy(GetParam() % 2 == 0 ? "Conduit"
                                               : "DM-Offloading");
-    (void)eng.run(prog, *pol);
+    (void)runSolo(dev, prog, *pol);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*dopts.tracer);
     ASSERT_EQ(tl.resource.size(), prog.instrs.size());
     for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
         const auto t = static_cast<Target>(tl.resource[i]);
@@ -202,16 +208,15 @@ TEST_P(RandomSeeds, PolicyChoicesAlwaysRespectCapabilities)
 TEST_P(RandomSeeds, FaultReplayPreservesOrderingInvariants)
 {
     const Program prog = randomProgram(GetParam() ^ 0x5EED, 100);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
-    ConduitPolicy pol;
     EngineOptions opts;
     opts.transientFaultRate = 0.2;
-    auto r = eng.run(prog, pol, opts);
+    const DeviceOptions dopts = tracedOptions(opts);
+    Device dev(dopts);
+    ConduitPolicy pol;
+    auto r = runSolo(dev, prog, pol);
     ASSERT_EQ(r.replays, r.faultsInjected);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*dopts.tracer);
     for (const auto &vi : prog.instrs) {
         for (InstrId d : vi.deps)
             ASSERT_GE(tl.completion[vi.id], tl.completion[d]);

@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
 #include "src/reliability/reliability.hh"
 #include "src/runner/sweep_runner.hh"
 #include "src/sim/rng.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
@@ -259,9 +259,8 @@ TEST(Reliability, DisabledKnobsAreInertAndFreshAgedMatchesBaseline)
     const Program prog = chainProgram(24);
 
     auto run = [&](const SsdConfig &cfg) {
-        Engine engine(cfg);
         auto policy = makePolicy("Conduit");
-        return engine.run(prog, *policy);
+        return test::runSolo(cfg, prog, *policy);
     };
 
     SsdConfig base = smallCfg();
@@ -297,13 +296,12 @@ TEST(Reliability, AgingStretchesEngineExecution)
         cfg.reliability.enabled = true;
         cfg.reliability.preWearCycles = pe;
         cfg.reliability.retentionDays = days;
-        Engine engine(cfg);
         // Fixed-substrate policy: every operand stages through real
         // flash reads, so the ECC ladder is squarely on the path
         // (decision-adaptive policies can sidestep it via IFP's
         // raw-bit in-place computation).
         auto policy = makePolicy("ISP");
-        return engine.run(prog, *policy);
+        return test::runSolo(cfg, prog, *policy);
     };
 
     const RunResult fresh = run(0, 0.0);

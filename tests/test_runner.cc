@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +294,32 @@ TEST(EventQueueDeterminism, PendingAccountsForCancellations)
     q.run();
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_EQ(q.eventsFired(), 1u);
+}
+
+/** SweepCli::parse over @p args (argv[0] supplied). */
+runner::SweepCli
+parseCli(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return runner::SweepCli::parse(static_cast<int>(argv.size()),
+                                   argv.data());
+}
+
+TEST(SweepCliDeathTest, ScaleMustBeFiniteAndPositive)
+{
+    // Dataset sizes are base * scale cast to integers; anything but a
+    // finite positive multiplier is a usage error, not a run.
+    for (const char *bad : {"-1", "0", "-0", "nan", "inf", "-inf"}) {
+        EXPECT_EXIT(parseCli({"--scale", bad}),
+                    ::testing::ExitedWithCode(2),
+                    "invalid value for --scale")
+            << bad;
+    }
+    EXPECT_DOUBLE_EQ(parseCli({"--scale", "0.25"}).scale, 0.25);
+    EXPECT_DOUBLE_EQ(parseCli({}).scale, 1.0);
 }
 
 } // namespace

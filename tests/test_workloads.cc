@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/vectorizer/vectorizer.hh"
 #include "src/workloads/workloads.hh"
 
@@ -152,6 +155,20 @@ TEST_P(WorkloadDeterminism, SameScaleSameProgram)
     ASSERT_EQ(a.program.instrs.size(), b.program.instrs.size());
     EXPECT_EQ(a.program.footprintPages, b.program.footprintPages);
     EXPECT_DOUBLE_EQ(a.report.avgReuse, b.report.avgReuse);
+}
+
+TEST(Workloads, NonPositiveOrNonFiniteScaleRejected)
+{
+    // Guarded at the source: the dataset-size cast would otherwise be
+    // undefined behaviour (and a negative scale an unbounded build).
+    for (double bad : {-1.0, 0.0, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+        WorkloadParams p;
+        p.scale = bad;
+        for (WorkloadId id : allWorkloads())
+            EXPECT_THROW(buildWorkload(id, p), std::invalid_argument)
+                << workloadName(id) << " at scale " << bad;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(All, WorkloadDeterminism,
