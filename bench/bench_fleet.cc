@@ -92,8 +92,7 @@ parseMix(const std::string &entry)
         const std::size_t colon = entry.find(':', pos);
         const std::string tok = entry.substr(
             pos, colon == std::string::npos ? colon : colon - pos);
-        mix.push_back(static_cast<std::uint32_t>(
-            parseCount("--age-mix", tok, /*allow_zero=*/true)));
+        mix.push_back(SweepCli::parseCycles("--age-mix", tok));
         if (colon == std::string::npos)
             break;
         pos = colon + 1;

@@ -11,7 +11,7 @@
  * (alone on the device) and its co-located runs against each
  * background tenant: the slowdown of the primary's makespan and the
  * inflation of its per-request latency tail. Every cell is one
- * deterministic device run (its streams as tick-0 jobs on a fresh
+ * deterministic device run (its streams as simultaneous jobs on one
  * core::Device), so repeated executions (and any --threads value)
  * produce byte-identical output.
  *
@@ -22,12 +22,14 @@
  * --age CYCLES runs the matrix on an aged device instead of a
  * factory-fresh one: a single pre-worn DeviceImage (reliability
  * subsystem enabled, fast-forwarded to the age, warmed with
- * --warmup-jobs jobs of traffic) is built once and forked for every
- * cell, so all cells share byte-identical initial wear, mappings and
- * staging state. On the aged device the ECC retry ladder stretches
- * every flash read, so a background tenant's die occupancy delays
- * the primary for whole retry ladders at a time — cross-tenant
- * interference tails amplify well beyond the fresh-device slowdown.
+ * --warmup-jobs jobs of traffic) is built once and every cell forks
+ * it (MultiRunSpec::image), so all cells share byte-identical
+ * initial wear, mappings and staging state and still sweep across
+ * the worker pool, traced and perf-attributed. On the aged device
+ * the ECC retry ladder stretches every flash read, so a background
+ * tenant's die occupancy delays the primary for whole retry ladders
+ * at a time — cross-tenant interference tails amplify well beyond
+ * the fresh-device slowdown.
  *   --age CYCLES         P/E cycles pre-absorbed (0 = fresh matrix)
  *   --retention-days D   resident-data age (default: age * 30/1000,
  *                        the deployment-time coupling
@@ -60,47 +62,24 @@ slotFor(WorkloadId id, const std::string &policy)
     return s;
 }
 
-/**
- * One aged-matrix cell: fork the shared pre-worn image and co-run
- * the cell's streams as simultaneous jobs on the forked device. The
- * image is read-only (forking deep-copies), so every cell starts
- * from byte-identical wear/mapping/staging state and cells stay
- * order-independent and deterministic.
- */
-sched::MultiRunResult
-runAgedCell(const DeviceImage &img, const MultiRunSpec &cell,
-            SweepRunner &runner)
+/** Stream @p k's result in a cell of @p streams streams (the cell's
+ *  jobs follow any an aged image carried). */
+const RunResult &
+streamResult(const DeviceSnapshot &snap, std::size_t streams,
+             std::size_t k)
 {
-    Device dev = Device::fromImage(img);
-    const std::size_t warm = img.jobs.size();
-    const Tick at = dev.now();
-    for (const StreamSlot &slot : cell.streams) {
-        auto vp = runner.cache().get(*slot.workloadId, cell.params,
-                                     cell.config);
-        JobSpec job;
-        job.name = slot.workload;
-        job.program =
-            std::shared_ptr<const Program>(vp, &vp->program);
-        job.policyObj =
-            std::shared_ptr<OffloadPolicy>(makePolicy(slot.technique));
-        job.arrival = at;
-        dev.submit(job);
-    }
-    const DeviceSnapshot snap = dev.drain();
+    return snap.jobs[snap.jobs.size() - streams + k].result;
+}
 
-    sched::MultiRunResult mr;
-    mr.eventsFired = snap.eventsFired;
-    Tick maxEnd = at;
-    for (std::size_t i = warm; i < snap.jobs.size(); ++i) {
-        const JobResult &jr = snap.jobs[i];
-        RunResult r = jr.result;
-        r.workload = cell.streams[i - warm].workload;
-        r.policy = cell.streams[i - warm].technique;
-        mr.streams.push_back(std::move(r));
-        maxEnd = std::max(maxEnd, jr.end);
-    }
-    mr.makespan = maxEnd - at;
-    return mr;
+/** A cell's makespan: its latest job end minus its start tick. */
+Tick
+cellMakespan(const DeviceSnapshot &snap, std::size_t streams)
+{
+    const std::size_t first = snap.jobs.size() - streams;
+    Tick end = 0;
+    for (std::size_t i = first; i < snap.jobs.size(); ++i)
+        end = std::max(end, snap.jobs[i].end);
+    return end - snap.jobs[first].arrival;
 }
 
 } // namespace
@@ -117,8 +96,7 @@ main(int argc, char **argv)
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--age") {
-            age = static_cast<std::uint32_t>(
-                parseCount("--age", value(), /*allow_zero=*/true));
+            age = SweepCli::parseCycles("--age", value());
         } else if (flag == "--retention-days") {
             retentionDays = parsePositive("--retention-days", value(),
                                           /*allow_zero=*/true);
@@ -218,13 +196,12 @@ main(int argc, char **argv)
 
     const auto t0 = std::chrono::steady_clock::now();
     SweepRunner runner(cli.runnerOptions());
-    std::vector<sched::MultiRunResult> results;
     if (age > 0) {
         // Build the shared pre-worn image once: the aged config
         // warmed with jobs of the first tenant, its page pool sized
         // for the largest co-location pair so both streams admit
-        // simultaneously like the fresh matrix does. Cells then run
-        // via the device job API (forking is a Device operation).
+        // simultaneously like the fresh matrix does. Every cell
+        // forks it.
         LoadRunSpec warm;
         warm.workload = workloadName(tenants.front());
         warm.workloadId = tenants.front();
@@ -237,13 +214,12 @@ main(int argc, char **argv)
             maxFp = std::max(maxFp, vp->program.footprintPages);
         }
         warm.capacityPages = 2 * maxFp;
-        const DeviceImage img = runner.buildWarmImage(warm);
-        results.reserve(cells.size());
-        for (const MultiRunSpec &cell : cells)
-            results.push_back(runAgedCell(img, cell, runner));
-    } else {
-        results = runner.runMultiAll(cells);
+        const auto img = std::make_shared<const DeviceImage>(
+            runner.buildWarmImage(warm));
+        for (MultiRunSpec &cell : cells)
+            cell.image = img;
     }
+    const std::vector<DeviceSnapshot> results = runner.runMultiAll(cells);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -266,7 +242,7 @@ main(int argc, char **argv)
     std::vector<RunResult> rowResults;
 
     for (std::size_t pi = 0; pi < n; ++pi) {
-        const RunResult &alone = results[pi].streams.front();
+        const RunResult &alone = streamResult(results[pi], 1, 0);
         std::printf("%s\n", alone.workload.c_str());
         std::printf("  %-24s %10s %10s %12s %12s\n", "tenancy",
                     "exec (ms)", "slowdown", "p99 (us)",
@@ -284,9 +260,9 @@ main(int argc, char **argv)
         }
         for (std::size_t bi = 0; bi < n; ++bi) {
             const auto &cell = results[n + pi * n + bi];
-            const RunResult &primary = cell.streams.front();
+            const RunResult &primary = streamResult(cell, 2, 0);
             const std::string company =
-                "+" + cell.streams.back().workload;
+                "+" + streamResult(cell, 2, 1).workload;
             const double slowdown = alone.execTime == 0
                 ? 0.0
                 : static_cast<double>(primary.execTime) /
@@ -311,20 +287,18 @@ main(int argc, char **argv)
                 "isolated runs)\n");
     for (std::size_t pi = 0; pi < n; ++pi) {
         for (std::size_t bi = pi + 1; bi < n; ++bi) {
-            const auto &cell = results[n + pi * n + bi];
-            const Tick sum =
-                results[pi].streams.front().execTime +
-                results[bi].streams.front().execTime;
+            const Tick makespan =
+                cellMakespan(results[n + pi * n + bi], 2);
+            const Tick sum = streamResult(results[pi], 1, 0).execTime +
+                streamResult(results[bi], 1, 0).execTime;
             std::printf(
                 "  %-40s makespan %8.3f ms, serial-on-two-SSDs "
                 "%8.3f ms (%.2fx)\n",
                 cells[n + pi * n + bi].label.c_str(),
-                ticksToUs(cell.makespan) / 1000.0,
-                ticksToUs(sum) / 1000.0,
-                cell.makespan == 0
-                    ? 0.0
-                    : static_cast<double>(sum) /
-                        static_cast<double>(cell.makespan));
+                ticksToUs(makespan) / 1000.0, ticksToUs(sum) / 1000.0,
+                makespan == 0 ? 0.0
+                              : static_cast<double>(sum) /
+                        static_cast<double>(makespan));
         }
     }
 

@@ -34,18 +34,14 @@
  *   --arrivals KIND        fixed | uniform | poisson (default)
  *   --arrival-seed N       arrival-schedule seed (default 1)
  *   --warmup-jobs N        warm jobs before the measured phase (rows
- *                          then report the measured jobs only)
- *   --steady-state         build each age rung's warm device once
- *                          and fork it per policy (DeviceImage
- *                          snapshots) instead of replaying the warm
- *                          phase per cell; outputs byte-identical,
- *                          only wall-clock changes (on stderr)
+ *                          then report the measured jobs only); each
+ *                          age rung's warm device is built once and
+ *                          forked per policy (DeviceImage snapshots)
  */
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 #include "bench/common.hh"
 
@@ -62,13 +58,8 @@ std::vector<std::uint32_t>
 parseAges(const std::string &csv)
 {
     std::vector<std::uint32_t> ages;
-    for (const std::string &tok : splitCsv(csv)) {
-        const unsigned long v =
-            parseCount("--ages", tok, /*allow_zero=*/true);
-        if (v > std::numeric_limits<std::uint32_t>::max())
-            badFlagValue("--ages", tok);
-        ages.push_back(static_cast<std::uint32_t>(v));
-    }
+    for (const std::string &tok : splitCsv(csv))
+        ages.push_back(SweepCli::parseCycles("--ages", tok));
     // The age axis is emitted ascending and deduplicated: every
     // (workload, policy) CSV block is strictly monotone in age,
     // which is what the CI monotonicity check keys on.
@@ -92,7 +83,6 @@ main(int argc, char **argv)
     ArrivalKind arrivals = ArrivalKind::Poisson;
     std::uint64_t arrivalSeed = 1;
     std::size_t warmupJobs = 0;
-    bool steadyState = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--jobs") {
@@ -100,8 +90,6 @@ main(int argc, char **argv)
         } else if (flag == "--warmup-jobs") {
             warmupJobs =
                 parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--steady-state") {
-            steadyState = true;
         } else if (flag == "--ages") {
             ages = parseAges(value());
             if (ages.empty())
@@ -136,12 +124,7 @@ main(int argc, char **argv)
         "          [--jobs N] [--ages a,b,c]\n"
         "          [--retention-per-kcycle D] [--rate-mult M]\n"
         "          [--arrivals KIND] [--arrival-seed N]\n"
-        "          [--warmup-jobs N] [--steady-state]\n");
-    if (steadyState && warmupJobs == 0) {
-        std::fprintf(stderr,
-                     "--steady-state needs --warmup-jobs N (> 0)\n");
-        return 2;
-    }
+        "          [--warmup-jobs N]\n");
 
     std::vector<std::string> names;
     for (WorkloadId id : allWorkloads())
@@ -215,7 +198,7 @@ main(int argc, char **argv)
                 cell.load.arrivals = arrivals;
                 cell.load.arrivalSeed = arrivalSeed;
                 cell.load.warmupJobs = warmupJobs;
-                cell.load.steadyState = steadyState;
+                cell.load.steadyState = warmupJobs > 0;
                 cell.preWearCycles = age;
                 cell.retentionDays = static_cast<double>(age) *
                     retentionPerKcycle / 1000.0;
@@ -227,8 +210,7 @@ main(int argc, char **argv)
     const std::vector<DeviceSnapshot> snaps = runner.runAgingAll(cells);
 
     // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical between cold two-phase
-    // and forked steady-state sweeps.
+    // to stderr: stdout stays byte-identical across thread counts.
     const runner::SweepPerf perf = runner.lastPerf();
     if (perf.warmupImages > 0)
         std::fprintf(stderr,

@@ -28,12 +28,9 @@
  *   --arrival-seed N    arrival-schedule seed (default 1; the same
  *                       schedule is replayed for every policy)
  *   --warmup-jobs N     warm jobs before the measured phase (rows
- *                       then report the measured jobs only)
- *   --steady-state      build each rate rung's warm device once and
- *                       fork it per policy (DeviceImage snapshots)
- *                       instead of replaying the warm phase per
- *                       cell; outputs are byte-identical, only
- *                       wall-clock changes (reported on stderr)
+ *                       then report the measured jobs only); each
+ *                       rate rung's warm device is built once and
+ *                       forked per policy (DeviceImage snapshots)
  */
 
 #include <algorithm>
@@ -76,7 +73,6 @@ main(int argc, char **argv)
     ArrivalKind arrivals = ArrivalKind::Poisson;
     std::uint64_t arrivalSeed = 1;
     std::size_t warmupJobs = 0;
-    bool steadyState = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--jobs") {
@@ -84,8 +80,6 @@ main(int argc, char **argv)
         } else if (flag == "--warmup-jobs") {
             warmupJobs =
                 parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--steady-state") {
-            steadyState = true;
         } else if (flag == "--rates") {
             rates = parseRates(value());
         } else if (flag == "--arrivals") {
@@ -108,13 +102,7 @@ main(int argc, char **argv)
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
         "          [--jobs N] [--rates a,b] [--arrivals KIND]\n"
-        "          [--arrival-seed N] [--warmup-jobs N]\n"
-        "          [--steady-state]\n");
-    if (steadyState && warmupJobs == 0) {
-        std::fprintf(stderr,
-                     "--steady-state needs --warmup-jobs N (> 0)\n");
-        return 2;
-    }
+        "          [--arrival-seed N] [--warmup-jobs N]\n");
 
     std::vector<std::string> names;
     for (WorkloadId id : allWorkloads())
@@ -197,7 +185,7 @@ main(int argc, char **argv)
                 cell.arrivals = arrivals;
                 cell.arrivalSeed = arrivalSeed;
                 cell.warmupJobs = warmupJobs;
-                cell.steadyState = steadyState;
+                cell.steadyState = warmupJobs > 0;
                 cells.push_back(std::move(cell));
             }
         }
@@ -207,8 +195,7 @@ main(int argc, char **argv)
     const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
 
     // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical between cold two-phase
-    // and forked steady-state sweeps.
+    // to stderr: stdout stays byte-identical across thread counts.
     const runner::SweepPerf perf = runner.lastPerf();
     if (perf.warmupImages > 0)
         std::fprintf(stderr,

@@ -299,19 +299,19 @@ scenarioMultiTenant8(SweepRunner &runner, const SweepCli &cli,
         }
     }
 
-    std::vector<sched::MultiRunResult> results;
+    std::vector<DeviceSnapshot> results;
     for (int rep = 0; rep < repeat; ++rep) {
         results = runner.runMultiAll({cell});
         fold(r, runner.lastPerf(), rep);
     }
     r.wallMean /= repeat;
-    const sched::MultiRunResult &mr = results.front();
-    r.digest.push_back(digestLine("makespan", mr.makespan));
-    for (std::size_t i = 0; i < mr.streams.size(); ++i)
+    const DeviceSnapshot &snap = results.front();
+    r.digest.push_back(digestLine("makespan", snap.makespan));
+    for (std::size_t i = 0; i < snap.jobs.size(); ++i)
         r.digest.push_back(digestLine(
             "stream" + std::to_string(i) + "/" +
-                mr.streams[i].workload,
-            mr.streams[i].execTime));
+                snap.jobs[i].result.workload,
+            snap.jobs[i].result.execTime));
     return r;
 }
 

@@ -2,8 +2,10 @@
  * @file
  * Walkthrough: co-running two tenants on one simulated SSD.
  *
- * The facade's runMulti() hands N (workload, policy) tenants to the
- * event-driven engine: every stream keeps its own program counter,
+ * The facade's runMulti() submits N (workload, policy) tenants as
+ * simultaneous jobs on one fresh Device and returns its drained
+ * DeviceSnapshot (one job per tenant, in tenant order, plus the
+ * device aggregate). Every stream keeps its own program counter,
  * completion vector and result attribution (an ExecContext), while
  * the StreamScheduler interleaves their dispatch pipelines on one
  * event queue. Contention is not configured anywhere — it emerges
@@ -31,7 +33,7 @@ main()
         sim.run(WorkloadId::Jacobi1d, "Conduit");
 
     // Now the same two workloads as co-located tenants of one SSD.
-    const sched::MultiRunResult co = sim.runMulti({
+    const DeviceSnapshot co = sim.runMulti({
         {WorkloadId::LlamaInference, "Conduit"},
         {WorkloadId::Jacobi1d, "Conduit"},
     });
@@ -39,9 +41,9 @@ main()
     std::printf("two tenants, one SSD (Conduit policy)\n\n");
     std::printf("%-20s %14s %14s %10s %12s\n", "stream", "alone (ms)",
                 "co-run (ms)", "slowdown", "p99 (us)");
-    for (std::size_t i = 0; i < co.streams.size(); ++i) {
+    for (std::size_t i = 0; i < co.jobs.size(); ++i) {
         const RunResult &alone = i == 0 ? llamaAlone : jacobiAlone;
-        const RunResult &r = co.streams[i];
+        const RunResult &r = co.jobs[i].result;
         std::printf("%-20s %14.3f %14.3f %9.2fx %12.2f\n",
                     r.workload.c_str(),
                     ticksToUs(alone.execTime) / 1000.0,

@@ -447,38 +447,4 @@ Device::sampleQueues()
     tracer_->record(e);
 }
 
-sched::MultiRunResult
-runStreamsOnDevice(const DeviceOptions &opts,
-                   std::vector<sched::StreamSpec> streams)
-{
-    if (streams.empty())
-        throw std::invalid_argument(
-            "runStreamsOnDevice: no streams to run");
-    // Reject up front: a JobSpec without a policy object would fall
-    // back to its default policy name and run silently mislabelled.
-    for (const sched::StreamSpec &s : streams)
-        if (!s.program || !s.policy)
-            throw std::invalid_argument(
-                "runStreamsOnDevice: StreamSpec needs a program and a "
-                "policy");
-    Device dev(opts);
-    for (sched::StreamSpec &s : streams) {
-        JobSpec job;
-        job.name = s.name;
-        job.program = std::move(s.program);
-        job.policyObj = std::move(s.policy);
-        dev.submit(job);
-    }
-    DeviceSnapshot snap = dev.drain();
-
-    sched::MultiRunResult mr;
-    mr.makespan = snap.makespan;
-    mr.eventsFired = snap.eventsFired;
-    mr.aggregate = std::move(snap.aggregate);
-    mr.streams.reserve(snap.jobs.size());
-    for (JobResult &jr : snap.jobs)
-        mr.streams.push_back(std::move(jr.result));
-    return mr;
-}
-
 } // namespace conduit

@@ -33,7 +33,8 @@
  * are laid out in submission order, share the device from tick 0 and
  * retire in submission order at quiescence — the "N programs start
  * together on a cold SSD" cell of the paper's methodology. The
- * facade's run/runMulti and runStreamsOnDevice are that case.
+ * facade's run/runMulti and the sweep runner's fresh single-stream
+ * and multi-tenant cells are that case.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -503,18 +504,6 @@ class Device
     // lint: transient-end
     /** @} */
 };
-
-/**
- * Run @p streams as tick-0 jobs on a fresh Device under @p opts and
- * convert the snapshot to the batch result shape — the shared body
- * of the facade's runStreams and of the sweep runner's single-stream
- * and multi-tenant cells.
- * @throws std::invalid_argument when @p streams is empty or a stream
- *         lacks a program or a policy.
- */
-sched::MultiRunResult
-runStreamsOnDevice(const DeviceOptions &opts,
-                   std::vector<sched::StreamSpec> streams);
 
 } // namespace conduit
 

@@ -92,8 +92,8 @@ struct RunResult
 
     /**
      * Events the kernel fired for this run. Only the sweep runner's
-     * single-stream cells report it here (multi-stream runs report
-     * the device-wide count on MultiRunResult / DeviceSnapshot); host
+     * single-stream cells report it here (every other device run
+     * reports the device-wide count on DeviceSnapshot); host
      * baselines have no event kernel and leave it 0. Simulator
      * self-perf metadata — never part of the simulated results.
      */

@@ -1,5 +1,7 @@
 #include "src/core/simulation.hh"
 
+#include <stdexcept>
+
 namespace conduit
 {
 
@@ -74,32 +76,26 @@ Simulation::runProgram(const Program &prog, OffloadPolicy &policy)
     return dev.wait(id).result;
 }
 
-sched::MultiRunResult
+DeviceSnapshot
 Simulation::runMulti(const std::vector<Tenant> &tenants)
 {
-    std::vector<sched::StreamSpec> streams;
-    streams.reserve(tenants.size());
+    if (tenants.empty())
+        throw std::invalid_argument("Simulation::runMulti: no tenants");
+    // Fresh device, every tenant a job arriving at tick 0 (regions in
+    // submission order, submission-order retirement).
+    Device dev(deviceOptionsFor(opts_));
     for (const Tenant &t : tenants) {
-        sched::StreamSpec s;
-        const VectorizedProgram &vp = compile(t.id);
+        JobSpec job;
+        job.name = workloadName(t.id);
         // Alias the cached program: the cache entry lives as long as
         // this Simulation, well beyond the run.
-        s.program = std::shared_ptr<const Program>(
-            std::shared_ptr<const void>(), &vp.program);
-        s.policy = makePolicy(t.policy);
-        s.name = workloadName(t.id);
-        streams.push_back(std::move(s));
+        job.program = std::shared_ptr<const Program>(
+            std::shared_ptr<const void>(), &compile(t.id).program);
+        job.policyObj =
+            std::shared_ptr<OffloadPolicy>(makePolicy(t.policy));
+        dev.submit(job);
     }
-    return runStreams(std::move(streams));
-}
-
-sched::MultiRunResult
-Simulation::runStreams(std::vector<sched::StreamSpec> streams)
-{
-    // Fresh device, every stream submitted as a job arriving at tick
-    // 0 (regions in submission order, submission-order retirement).
-    return runStreamsOnDevice(deviceOptionsFor(opts_),
-                              std::move(streams));
+    return dev.drain();
 }
 
 RunResult

@@ -9,8 +9,8 @@
  * examples consume.
  *
  * Every SSD entry point is a thin wrapper over core::Device: run()
- * submits one job to a fresh device, runMulti()/runStreams() submit
- * N jobs arriving simultaneously at tick 0. The wrappers exist for
+ * submits one job to a fresh device, runMulti() submits N jobs
+ * arriving simultaneously at tick 0. The wrappers exist for
  * the paper's closed-form methodology (every technique starts from
  * the same cold SSD); hold a Device directly for open-loop arrivals,
  * dynamic submission, and long-lived device state.
@@ -95,14 +95,12 @@ class Simulation
      * event-driven multi-stream engine): each tenant's instruction
      * stream executes under its own policy while all streams contend
      * for the shared device. A wrapper over core::Device with every
-     * job arriving at tick 0. Returns per-stream results in tenant
-     * order plus the device aggregate.
+     * job arriving at tick 0: the drained snapshot holds one job per
+     * tenant, in tenant order, plus the device aggregate.
+     * @throws std::invalid_argument when @p tenants is empty or names
+     *         an unknown policy.
      */
-    sched::MultiRunResult runMulti(const std::vector<Tenant> &tenants);
-
-    /** Multi-stream run over explicit stream specs. */
-    sched::MultiRunResult
-    runStreams(std::vector<sched::StreamSpec> streams);
+    DeviceSnapshot runMulti(const std::vector<Tenant> &tenants);
 
     /** Host baseline ("CPU" or "GPU") for a workload. */
     RunResult runHost(WorkloadId id, bool gpu);

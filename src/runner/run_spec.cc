@@ -59,6 +59,17 @@ reportUnknown(const std::vector<std::string> &filter,
     return false;
 }
 
+std::string
+displayName(const std::string &label,
+            const std::optional<WorkloadId> &id,
+            const std::shared_ptr<const Program> &program)
+{
+    return !label.empty() ? label
+        : id              ? workloadName(*id)
+        : program         ? program->name
+                          : std::string();
+}
+
 namespace
 {
 

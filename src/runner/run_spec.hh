@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/core/arrival.hh"
+#include "src/core/device.hh"
 #include "src/core/engine.hh"
 #include "src/offload/policy.hh"
 #include "src/sim/config.hh"
@@ -53,6 +54,15 @@ const std::string *findUnknown(const std::vector<std::string> &filter,
 bool reportUnknown(const std::vector<std::string> &filter,
                    const std::vector<std::string> &labels,
                    const char *axis);
+
+/**
+ * Display name of a cell's workload: @p label when set, else the
+ * workload's name, else the program's own name (empty when there is
+ * neither a workload nor a program).
+ */
+std::string displayName(const std::string &label,
+                        const std::optional<WorkloadId> &id,
+                        const std::shared_ptr<const Program> &program);
 
 /**
  * The device every sweep runs on unless overridden: the Table 2
@@ -144,6 +154,15 @@ struct MultiRunSpec
 {
     /** Cell label for reporting (e.g. "AES+jacobi-1d"). */
     std::string label;
+
+    /**
+     * Device the streams run on: null builds a fresh device from
+     * @ref config, @ref engine and @ref params; an image forks it
+     * (read-only and shareable across cells — forking deep-copies),
+     * the streams then arriving together at the fork's clock and
+     * compiling against the image's options.
+     */
+    std::shared_ptr<const DeviceImage> image;
 
     /** Device configuration the tenants share. */
     SsdConfig config = defaultSweepConfig();

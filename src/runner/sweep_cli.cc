@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/offload/policy.hh"
@@ -68,6 +69,22 @@ parseDouble(const char *prog, const std::string &flag,
 }
 
 } // namespace
+
+std::uint32_t
+SweepCli::parseCycles(const char *flag, const std::string &value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (errno != 0 || end == value.c_str() || *end != '\0' ||
+        value[0] == '-' ||
+        v > std::numeric_limits<std::uint32_t>::max()) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", flag,
+                     value.c_str());
+        std::exit(2);
+    }
+    return static_cast<std::uint32_t>(v);
+}
 
 SweepCli
 SweepCli::parse(int argc, char **argv, const FlagHandler &extra,

@@ -31,6 +31,7 @@
 #ifndef CONDUIT_RUNNER_SWEEP_CLI_HH
 #define CONDUIT_RUNNER_SWEEP_CLI_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -98,6 +99,16 @@ struct SweepCli
     static SweepCli parse(int argc, char **argv,
                           const FlagHandler &extra = {},
                           const char *extra_usage = nullptr);
+
+    /**
+     * Parse a device age in P/E cycles for a bench's extra flag
+     * (--age, --age-mix, --ages): a whole non-negative number that
+     * fits the uint32_t wear counters. Anything else — trailing
+     * garbage, a minus sign, a value past 4294967295 — prints "invalid
+     * value for FLAG" and exits with code 2 rather than wrapping.
+     */
+    static std::uint32_t parseCycles(const char *flag,
+                                     const std::string &value);
 
     /** SweepRunner options implied by the flags (tracing included). */
     SweepOptions runnerOptions() const;

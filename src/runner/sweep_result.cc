@@ -298,10 +298,7 @@ LoadRow
 makeLoadRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
 {
     LoadRow r;
-    r.workload = !spec.workload.empty() ? spec.workload
-        : spec.workloadId              ? workloadName(*spec.workloadId)
-        : spec.program                 ? spec.program->name
-                                       : std::string();
+    r.workload = displayName(spec.workload, spec.workloadId, spec.program);
     r.technique = spec.technique;
     r.jobsPerSec = spec.jobsPerSec;
 
@@ -571,10 +568,7 @@ makeClusterRows(const ClusterRunSpec &spec,
             row.jobsPerSec = spec.jobsPerSec;
         } else {
             const ClusterTenant &t = spec.tenants[s - 1];
-            row.tenant = !t.name.empty() ? t.name
-                : t.workloadId           ? workloadName(*t.workloadId)
-                : t.program              ? t.program->name
-                                         : std::string();
+            row.tenant = displayName(t.name, t.workloadId, t.program);
             row.jobsPerSec = weightSum > 0.0
                 ? spec.jobsPerSec * t.weight / weightSum
                 : 0.0;

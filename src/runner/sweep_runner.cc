@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -74,14 +75,10 @@ sinceSeconds(const std::chrono::steady_clock::time_point &t0)
 std::string
 loadCellLabel(const LoadRunSpec &spec)
 {
-    const std::string workload = !spec.workload.empty()
-        ? spec.workload
-        : spec.workloadId ? workloadName(*spec.workloadId)
-        : spec.program    ? spec.program->name
-                          : std::string("load");
     char rate[48];
     std::snprintf(rate, sizeof rate, "@%gjobs/s", spec.jobsPerSec);
-    return workload + "/" + spec.technique + rate;
+    return displayName(spec.workload, spec.workloadId, spec.program) +
+        "/" + spec.technique + rate;
 }
 
 /** Attribution label of an aging cell. */
@@ -106,30 +103,43 @@ agedLoad(const AgingRunSpec &spec)
     return cell;
 }
 
-/** Resolve an offered-load cell's program (explicit > workload). */
+/**
+ * A cell's program: the explicit @p program, else @p id compiled
+ * through the shared cache. @p kind and @p who name the cell in the
+ * error raised when it has neither.
+ */
 std::shared_ptr<const Program>
-resolveLoadProgram(ProgramCache &cache, const LoadRunSpec &spec)
+resolveProgram(ProgramCache &cache,
+               const std::shared_ptr<const Program> &program,
+               const std::optional<WorkloadId> &id,
+               const WorkloadParams &params, const SsdConfig &config,
+               const char *kind, const std::string &who)
 {
-    if (spec.program)
-        return spec.program;
-    if (!spec.workloadId)
+    if (program)
+        return program;
+    if (!id)
         throw std::invalid_argument(
-            "LoadRunSpec has neither a program nor a workload: " +
-            spec.workload + "/" + spec.technique);
-    auto compiled =
-        cache.get(*spec.workloadId, spec.params, spec.config);
+            std::string(kind) +
+            " has neither a program nor a workload: " + who);
+    auto compiled = cache.get(*id, params, config);
     return std::shared_ptr<const Program>(compiled,
                                           &compiled->program);
 }
 
-/** Display name the cell's jobs are submitted under. */
-std::string
-loadJobName(const LoadRunSpec &spec,
-            const std::shared_ptr<const Program> &prog)
+/**
+ * A fresh policy object for one job: @p factory's, else
+ * makePolicy(@p technique). A null policy is rejected: the job would
+ * fall back to JobSpec's default policy and run silently mislabelled.
+ */
+std::shared_ptr<OffloadPolicy>
+cellPolicy(const PolicyFactory &factory, const std::string &technique)
 {
-    return !spec.workload.empty() ? spec.workload
-        : spec.workloadId ? workloadName(*spec.workloadId)
-                          : prog->name;
+    std::shared_ptr<OffloadPolicy> policy =
+        factory ? factory() : makePolicy(technique);
+    if (!policy)
+        throw std::invalid_argument("policy factory for '" + technique +
+                                    "' returned no policy");
+    return policy;
 }
 
 /** Device options of an offered-load cell. */
@@ -175,10 +185,10 @@ submitLoadJobs(Device &dev, const LoadRunSpec &spec,
         job.name = name;
         job.program = prog;
         // Fresh policy object per job (policies may carry state).
-        job.policyObj = !warm && spec.policy
-            ? std::shared_ptr<OffloadPolicy>(spec.policy())
-            : std::shared_ptr<OffloadPolicy>(makePolicy(
-                  warm ? spec.warmupTechnique : spec.technique));
+        job.policyObj = warm
+            ? std::shared_ptr<OffloadPolicy>(
+                  makePolicy(spec.warmupTechnique))
+            : cellPolicy(spec.policy, spec.technique);
         job.arrival = at;
         dev.submit(job);
     }
@@ -244,10 +254,7 @@ clusterDeviceRecipe(const ClusterRunSpec &spec, std::uint32_t rung)
 {
     const ClusterTenant &t0 = spec.tenants.front();
     LoadRunSpec r;
-    r.workload = !t0.name.empty() ? t0.name
-        : t0.workloadId           ? workloadName(*t0.workloadId)
-        : t0.program              ? t0.program->name
-                                  : std::string();
+    r.workload = displayName(t0.name, t0.workloadId, t0.program);
     r.technique = spec.warmupTechnique;
     r.config = spec.config;
     r.engine = spec.engine;
@@ -301,19 +308,30 @@ SweepRunner::lastPerf() const
     return p;
 }
 
-template <typename Body>
-void
-SweepRunner::timedSweep(std::size_t cells, const Body &body)
+template <typename Result, typename Cell>
+std::vector<Result>
+SweepRunner::sweepCells(const std::vector<std::string> &labels,
+                        const Cell &cell, const TraceOf &traceOf)
 {
-    perfCells_ = cells;
+    const std::size_t n = labels.size();
+    std::vector<Result> results(n);
+    perfCells_ = n;
     perfEvents_.store(0, std::memory_order_relaxed);
-    perfPerCell_.assign(cells, {});
+    perfPerCell_.assign(n, {});
     perfWarmWall_ = 0.0;
     perfWarmImages_ = 0;
-    traceCells_.assign(cells, {});
+    traceCells_.assign(n, {});
     const auto t0 = std::chrono::steady_clock::now();
-    body();
+    parallelFor(workerCount(n), n, [&](std::size_t i) {
+        const auto c0 = std::chrono::steady_clock::now();
+        auto tracer = makeTracer(traceOf ? traceOf(i) : opts_.trace);
+        results[i] = cell(i, tracer);
+        traceCells_[i] = {labels[i], std::move(tracer)};
+        recordCell(i, labels[i], sinceSeconds(c0),
+                   results[i].eventsFired);
+    });
     perfWall_ = sinceSeconds(t0);
+    return results;
 }
 
 void
@@ -347,19 +365,9 @@ RunResult
 SweepRunner::runOneCell(const RunSpec &spec,
                         const std::shared_ptr<trace::Tracer> &tracer)
 {
-    // Resolve the program: explicit > generated workload.
-    std::shared_ptr<const Program> prog = spec.program;
-    std::shared_ptr<const VectorizedProgram> compiled;
-    if (!prog) {
-        if (!spec.workloadId)
-            throw std::invalid_argument(
-                "RunSpec has neither a program nor a workload: " +
-                spec.workload + "/" + spec.technique);
-        compiled = cache_.get(*spec.workloadId, spec.params,
-                              spec.config);
-        prog = std::shared_ptr<const Program>(compiled,
-                                              &compiled->program);
-    }
+    std::shared_ptr<const Program> prog = resolveProgram(
+        cache_, spec.program, spec.workloadId, spec.params, spec.config,
+        "RunSpec", spec.workload + "/" + spec.technique);
 
     // Host baselines bypass the SSD engine entirely.
     HostKind host = spec.host;
@@ -377,14 +385,14 @@ SweepRunner::runOneCell(const RunSpec &spec,
         DeviceOptions dopts =
             makeDeviceOptions(spec.config, spec.engine, spec.params);
         dopts.tracer = tracer;
-        std::vector<sched::StreamSpec> streams(1);
-        streams[0].program = std::move(prog);
-        streams[0].policy = spec.policy ? spec.policy()
-                                        : makePolicy(spec.technique);
-        sched::MultiRunResult mr =
-            runStreamsOnDevice(dopts, std::move(streams));
-        r = std::move(mr.streams.front());
-        r.eventsFired = mr.eventsFired;
+        Device dev(std::move(dopts));
+        JobSpec job;
+        job.program = std::move(prog);
+        job.policyObj = cellPolicy(spec.policy, spec.technique);
+        dev.submit(job);
+        DeviceSnapshot snap = dev.drain();
+        r = std::move(snap.jobs.front().result);
+        r.eventsFired = snap.eventsFired;
     }
     // Label with the spec's display names (a custom policy object's
     // own name may differ, e.g. ablation variants).
@@ -393,88 +401,86 @@ SweepRunner::runOneCell(const RunSpec &spec,
     return r;
 }
 
-sched::MultiRunResult
+DeviceSnapshot
 SweepRunner::runMulti(const MultiRunSpec &spec)
 {
     return runMultiCell(spec, nullptr);
 }
 
-sched::MultiRunResult
+DeviceSnapshot
 SweepRunner::runMultiCell(const MultiRunSpec &spec,
                           const std::shared_ptr<trace::Tracer> &tracer)
 {
     if (spec.streams.empty())
         throw std::invalid_argument(
             "MultiRunSpec has no streams: " + spec.label);
-    std::vector<sched::StreamSpec> streams;
-    streams.reserve(spec.streams.size());
-    for (const StreamSlot &slot : spec.streams) {
+    for (const StreamSlot &slot : spec.streams)
         if (slot.technique == "CPU" || slot.technique == "GPU")
             throw std::invalid_argument(
                 "multi-stream cells run on the SSD engine; host "
                 "baseline '" + slot.technique +
                 "' cannot be a stream: " + spec.label);
-        sched::StreamSpec s;
-        if (slot.program) {
-            s.program = slot.program;
-        } else if (slot.workloadId) {
-            auto compiled = cache_.get(*slot.workloadId, spec.params,
-                                       spec.config);
-            s.program = std::shared_ptr<const Program>(
-                compiled, &compiled->program);
-        } else {
-            throw std::invalid_argument(
-                "StreamSlot has neither a program nor a workload: " +
-                spec.label + "/" + slot.workload);
-        }
-        s.policy = slot.policy ? slot.policy()
-                               : makePolicy(slot.technique);
-        s.name = !slot.workload.empty() ? slot.workload
-            : slot.workloadId ? workloadName(*slot.workloadId)
-                              : s.program->name;
-        streams.push_back(std::move(s));
-    }
 
-    // Every stream a tick-0 job on one fresh Device.
-    DeviceOptions dopts =
-        makeDeviceOptions(spec.config, spec.engine, spec.params);
-    dopts.tracer = tracer;
-    sched::MultiRunResult mr =
-        runStreamsOnDevice(dopts, std::move(streams));
-    // Label per-stream results with the slot's display technique (a
-    // custom policy object's own name may differ), and rebuild the
-    // aggregate's joined label so both agree.
-    std::string joined;
-    for (std::size_t i = 0; i < mr.streams.size(); ++i) {
-        if (!spec.streams[i].technique.empty())
-            mr.streams[i].policy = spec.streams[i].technique;
-        if (i > 0)
-            joined += "+";
-        joined += mr.streams[i].policy;
+    // A fresh device from the spec's options, or a fork of the
+    // spec's image (forks start traceless, so the tracer attaches
+    // after construction either way).
+    std::optional<Device> dev;
+    if (spec.image)
+        dev.emplace(*spec.image);
+    else
+        dev.emplace(
+            makeDeviceOptions(spec.config, spec.engine, spec.params));
+    if (tracer)
+        dev->setTracer(tracer);
+
+    // Every stream is a job arriving together: at tick 0 on a fresh
+    // device, at the fork's clock on an image. Programs compile for
+    // the device they run on.
+    const Tick at = dev->now();
+    const DeviceOptions &dopts = dev->options();
+    for (const StreamSlot &slot : spec.streams) {
+        JobSpec job;
+        job.program = resolveProgram(
+            cache_, slot.program, slot.workloadId, dopts.workload,
+            dopts.config, "StreamSlot", spec.label + "/" + slot.workload);
+        job.name = displayName(slot.workload, slot.workloadId,
+                               job.program);
+        job.policyObj = cellPolicy(slot.policy, slot.technique);
+        job.arrival = at;
+        dev->submit(job);
     }
-    mr.aggregate.policy = joined;
-    return mr;
+    DeviceSnapshot snap = dev->drain();
+
+    // Label the cell's jobs (the last streams.size(), after any the
+    // image carried) with the slot's display technique (a custom
+    // policy object's own name may differ), and rebuild the
+    // aggregate's joined label so both agree.
+    const std::size_t first = snap.jobs.size() - spec.streams.size();
+    for (std::size_t i = 0; i < spec.streams.size(); ++i)
+        if (!spec.streams[i].technique.empty())
+            snap.jobs[first + i].result.policy =
+                spec.streams[i].technique;
+    std::string joined;
+    for (const JobResult &jr : snap.jobs) {
+        if (!joined.empty())
+            joined += "+";
+        joined += jr.result.policy;
+    }
+    snap.aggregate.policy = joined;
+    return snap;
 }
 
-std::vector<sched::MultiRunResult>
+std::vector<DeviceSnapshot>
 SweepRunner::runMultiAll(const std::vector<MultiRunSpec> &specs)
 {
-    std::vector<sched::MultiRunResult> results(specs.size());
-    timedSweep(specs.size(), [&] {
-        parallelFor(workerCount(specs.size()), specs.size(),
-                    [&](std::size_t i) {
-                        const auto c0 =
-                            std::chrono::steady_clock::now();
-                        auto tracer = makeTracer(opts_.trace);
-                        results[i] = runMultiCell(specs[i], tracer);
-                        traceCells_[i] = {specs[i].label,
-                                          std::move(tracer)};
-                        recordCell(i, specs[i].label,
-                                   sinceSeconds(c0),
-                                   results[i].eventsFired);
-                    });
-    });
-    return results;
+    std::vector<std::string> labels;
+    labels.reserve(specs.size());
+    for (const MultiRunSpec &spec : specs)
+        labels.push_back(spec.label);
+    return sweepCells<DeviceSnapshot>(
+        labels, [&](std::size_t i, const auto &tracer) {
+            return runMultiCell(specs[i], tracer);
+        });
 }
 
 DeviceImage
@@ -483,8 +489,11 @@ SweepRunner::buildWarmImage(const LoadRunSpec &spec)
     if (spec.warmupJobs == 0)
         throw std::invalid_argument(
             "buildWarmImage: spec.warmupJobs is 0: " + spec.workload);
-    auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = loadJobName(spec, prog);
+    auto prog = resolveProgram(cache_, spec.program, spec.workloadId,
+                               spec.params, spec.config, "LoadRunSpec",
+                               spec.workload + "/" + spec.technique);
+    const std::string name =
+        displayName(spec.workload, spec.workloadId, prog);
     Device dev(loadDeviceOptions(spec));
     auto arrivals = loadArrivals(spec);
     Tick at = 0;
@@ -507,8 +516,11 @@ SweepRunner::runLoadCell(const LoadRunSpec &spec,
         throw std::invalid_argument(
             "LoadRunSpec: steadyState needs warmupJobs > 0: " +
             spec.workload);
-    auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = loadJobName(spec, prog);
+    auto prog = resolveProgram(cache_, spec.program, spec.workloadId,
+                               spec.params, spec.config, "LoadRunSpec",
+                               spec.workload + "/" + spec.technique);
+    const std::string name =
+        displayName(spec.workload, spec.workloadId, prog);
     auto arrivals = loadArrivals(spec);
 
     std::optional<Device> dev;
@@ -616,18 +628,10 @@ SweepRunner::runLoadSweep(const std::vector<LoadRunSpec> &specs,
     const WarmImages warm = buildWarmImages(recipes);
 
     // Phase 2: the measured cells, forking from the shared images.
-    std::vector<DeviceSnapshot> results(n);
-    timedSweep(n, [&] {
-        parallelFor(workerCount(n), n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            auto tracer = makeTracer(opts_.trace);
-            results[i] =
-                runLoadCell(specs[i], warm.images[i].get(), tracer);
-            traceCells_[i] = {labels[i], std::move(tracer)};
-            recordCell(i, labels[i], sinceSeconds(c0),
-                       results[i].eventsFired);
+    std::vector<DeviceSnapshot> results = sweepCells<DeviceSnapshot>(
+        labels, [&](std::size_t i, const auto &tracer) {
+            return runLoadCell(specs[i], warm.images[i].get(), tracer);
         });
-    });
     perfWarmWall_ = warm.seconds;
     perfWarmImages_ = warm.built;
     return results;
@@ -685,17 +689,11 @@ SweepRunner::runClusterCell(
     std::vector<std::string> names(nt);
     for (std::size_t t = 0; t < nt; ++t) {
         const ClusterTenant &ten = spec.tenants[t];
-        LoadRunSpec slot;
-        slot.workload = ten.name;
-        slot.technique = ten.technique;
-        slot.workloadId = ten.workloadId;
-        slot.program = ten.program;
-        slot.params = spec.params;
-        slot.config = spec.config;
-        progs[t] = resolveLoadProgram(cache_, slot);
-        names[t] = !ten.name.empty() ? ten.name
-            : ten.workloadId ? workloadName(*ten.workloadId)
-                             : progs[t]->name;
+        progs[t] = resolveProgram(cache_, ten.program, ten.workloadId,
+                                  spec.params, spec.config,
+                                  "ClusterTenant",
+                                  spec.label + "/" + ten.name);
+        names[t] = displayName(ten.name, ten.workloadId, progs[t]);
     }
 
     // Merged arrival schedule: jobs split across tenants by weight
@@ -834,23 +832,21 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
         cellImages[i].assign(warm.images.begin() + at,
                              warm.images.begin() + at + specs[i].devices);
 
-    // Phase 2: the fleet cells, forking from the shared images.
-    std::vector<cluster::ClusterSnapshot> results(n);
-    timedSweep(n, [&] {
-        parallelFor(workerCount(n), n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            // A cell-level trace config overrides the sweep-wide one.
-            auto tracer = makeTracer(specs[i].trace.enabled()
-                                         ? specs[i].trace
-                                         : opts_.trace);
-            results[i] =
-                runClusterCell(specs[i], cellImages[i], tracer);
-            traceCells_[i] = {clusterCellLabel(specs[i]),
-                              std::move(tracer)};
-            recordCell(i, clusterCellLabel(specs[i]),
-                       sinceSeconds(c0), results[i].eventsFired);
+    // Phase 2: the fleet cells, forking from the shared images. A
+    // cell-level trace config overrides the sweep-wide one.
+    std::vector<std::string> labels;
+    labels.reserve(n);
+    for (const ClusterRunSpec &spec : specs)
+        labels.push_back(clusterCellLabel(spec));
+    auto results = sweepCells<cluster::ClusterSnapshot>(
+        labels,
+        [&](std::size_t i, const auto &tracer) {
+            return runClusterCell(specs[i], cellImages[i], tracer);
+        },
+        [&](std::size_t i) -> const trace::TraceConfig & {
+            return specs[i].trace.enabled() ? specs[i].trace
+                                            : opts_.trace;
         });
-    });
     perfWarmWall_ = warm.seconds;
     perfWarmImages_ = warm.built;
     return results;
@@ -867,22 +863,15 @@ SweepRunner::runCluster(const ClusterRunSpec &spec)
 SweepResult
 SweepRunner::run(std::vector<RunSpec> specs)
 {
-    const std::size_t n = specs.size();
-    std::vector<RunResult> results(n);
-    const unsigned threads = workerCount(n);
-    timedSweep(n, [&] {
-        parallelFor(threads, n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            auto tracer = makeTracer(opts_.trace);
-            results[i] = runOneCell(specs[i], tracer);
-            traceCells_[i] = {
-                specs[i].workload + "/" + specs[i].technique,
-                std::move(tracer)};
-            recordCell(i,
-                       specs[i].workload + "/" + specs[i].technique,
-                       sinceSeconds(c0), results[i].eventsFired);
+    std::vector<std::string> labels;
+    labels.reserve(specs.size());
+    for (const RunSpec &spec : specs)
+        labels.push_back(spec.workload + "/" + spec.technique);
+    std::vector<RunResult> results = sweepCells<RunResult>(
+        labels, [&](std::size_t i, const auto &tracer) {
+            return runOneCell(specs[i], tracer);
         });
-    });
+    const unsigned threads = workerCount(specs.size());
     return SweepResult(std::move(specs), std::move(results), perfWall_,
                        threads);
 }

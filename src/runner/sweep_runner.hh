@@ -2,20 +2,24 @@
  * @file
  * Thread-pooled sweep execution.
  *
- * SweepRunner executes a vector of RunSpecs across worker threads.
- * Every run is fully independent — its own core::Device (fresh
- * simulated SSD), its own policy object, and a deterministic seed
- * derived only from the spec — so the result of spec i is
- * bit-identical whether
- * the sweep runs on 1 thread or N, and whatever order the scheduler
- * interleaves the workers in. Compiled programs are shared through
- * an immutable ProgramCache.
+ * SweepRunner executes a vector of cells across worker threads:
+ * single-stream RunSpecs, multi-tenant MultiRunSpecs, offered-load,
+ * aging and fleet cells. Every cell is fully independent — its own
+ * core::Device (fresh, or forked from a shared read-only
+ * DeviceImage), its own policy objects, and a deterministic seed
+ * derived only from the spec — so the result of cell i is
+ * bit-identical whether the sweep runs on 1 thread or N, and
+ * whatever order the scheduler interleaves the workers in. Every
+ * sweep goes through one loop (per-cell tracer, wall timing and
+ * perf slot), and compiled programs are shared through an immutable
+ * ProgramCache.
  */
 
 #ifndef CONDUIT_RUNNER_SWEEP_RUNNER_HH
 #define CONDUIT_RUNNER_SWEEP_RUNNER_HH
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,16 +129,20 @@ class SweepRunner
 
     /**
      * Execute one multi-tenant cell: all of @p spec's streams co-run
-     * on one fresh simulated SSD. Deterministic for equal specs.
+     * as simultaneous jobs on one simulated SSD — a fresh device, or
+     * a fork of spec.image. The snapshot lists the jobs an image
+     * carried first, then one job per stream in slot order, each
+     * labelled with its slot's technique. Deterministic for equal
+     * specs.
      */
-    sched::MultiRunResult runMulti(const MultiRunSpec &spec);
+    DeviceSnapshot runMulti(const MultiRunSpec &spec);
 
     /**
      * Execute every multi-tenant cell across the worker pool and
-     * return results in spec order (cells are independent device
+     * return snapshots in spec order (cells are independent device
      * runs, so results are thread-count invariant like run()).
      */
-    std::vector<sched::MultiRunResult>
+    std::vector<DeviceSnapshot>
     runMultiAll(const std::vector<MultiRunSpec> &specs);
 
     /**
@@ -208,9 +216,11 @@ class SweepRunner
     ProgramCache &cache() { return cache_; }
 
     /**
-     * Self-performance of the most recent run()/runMultiAll()/
-     * runLoadAll() call (not updated by the single-cell entry
-     * points). Read it after the sweep returns — not concurrently.
+     * Self-performance of the most recent sweep call (run(),
+     * runMultiAll(), runLoadAll(), runAgingAll(), runClusterAll();
+     * not updated by the single-cell entry points except
+     * runCluster). Read it after the sweep returns — not
+     * concurrently.
      */
     SweepPerf lastPerf() const;
 
@@ -241,7 +251,7 @@ class SweepRunner
                          const std::shared_ptr<trace::Tracer> &tracer);
 
     /** The shared multi-tenant body of runMultiAll()/runMulti(). */
-    sched::MultiRunResult
+    DeviceSnapshot
     runMultiCell(const MultiRunSpec &spec,
                  const std::shared_ptr<trace::Tracer> &tracer);
     /**
@@ -298,9 +308,21 @@ class SweepRunner
             &images,
         const std::shared_ptr<trace::Tracer> &tracer);
 
-    /** Time @p body, tallying cells/events into lastPerf(). */
-    template <typename Body>
-    void timedSweep(std::size_t cells, const Body &body);
+    /** Per-cell trace config of a sweep (null: SweepOptions::trace). */
+    using TraceOf =
+        std::function<const trace::TraceConfig &(std::size_t)>;
+
+    /**
+     * The one sweep loop: cell(i, tracer) for every cell across the
+     * worker pool, each with its own tracer (from @p traceOf), wall
+     * timing and lastPerf()/lastTraces() slot under labels[i].
+     * Results in label order; the cell's eventsFired feeds the perf
+     * tally.
+     */
+    template <typename Result, typename Cell>
+    std::vector<Result>
+    sweepCells(const std::vector<std::string> &labels, const Cell &cell,
+               const TraceOf &traceOf = nullptr);
 
     /**
      * Record cell @p i's attribution (workers own disjoint slots,

@@ -109,26 +109,6 @@ struct ExecContext
     bool done() const { return prog && pc >= prog->instrs.size(); }
 };
 
-/** Outcome of a multi-stream run. */
-struct MultiRunResult
-{
-    /** Per-stream results, in StreamSpec order. */
-    std::vector<RunResult> streams;
-
-    /**
-     * Device-level aggregate: sums of the per-stream counters and
-     * busy times, the merged latency histogram, and the makespan as
-     * execTime. The workload/policy labels join the stream labels.
-     */
-    RunResult aggregate;
-
-    /** Latest stream completion (including result drains). */
-    Tick makespan = 0;
-
-    /** Events the scheduler fired (dispatches + completions). */
-    std::uint64_t eventsFired = 0;
-};
-
 } // namespace conduit::sched
 
 #endif // CONDUIT_SCHED_EXEC_CONTEXT_HH

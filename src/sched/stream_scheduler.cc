@@ -57,10 +57,4 @@ StreamScheduler::onDispatch(ExecContext &ctx)
     }
 }
 
-void
-StreamScheduler::run()
-{
-    queue_.run();
-}
-
 } // namespace conduit::sched

@@ -89,8 +89,8 @@ class StreamScheduler
      * model behind open-loop job submission. An empty program is
      * marked finished immediately and never dispatches.
      *
-     * The context must outlive the scheduler's run() — the event
-     * callbacks hold references.
+     * The context must outlive its last event — the event callbacks
+     * hold references.
      */
     void add(ExecContext &ctx, Tick arrival = 0);
 
@@ -102,9 +102,6 @@ class StreamScheduler
      * admit queued jobs — at a deterministic point in simulated time.
      */
     void setStreamDone(StreamDone cb) { streamDone_ = std::move(cb); }
-
-    /** Run the event loop until every stream's chain has drained. */
-    void run();
 
   private:
     void onDispatch(ExecContext &ctx);

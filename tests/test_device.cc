@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the persistent-device job API: the batch layout of
- * tick-0 jobs (and its runStreamsOnDevice wrapper), arrival semantics
+ * tick-0 jobs (and the runner's multi-tenant cell), arrival semantics
  * (staggered-arrival determinism across repeats and thread counts,
  * causality of late arrivals), region allocation/reclamation across
  * job lifetimes, wait() semantics, admission queueing under a bounded
@@ -78,41 +78,50 @@ testDeviceOptions()
 
 TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
 {
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "tenantA";
-    streams[0].program = chainProgram("a", 24, OpCode::Add);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "tenantB";
-    streams[1].program = chainProgram("b", 24, OpCode::Xor);
-    streams[1].policy = makePolicy("DM-Offloading");
+    runner::MultiRunSpec cell;
+    cell.label = "tenantA+tenantB";
+    cell.config = testCfg();
+    cell.streams.resize(2);
+    cell.streams[0].workload = "tenantA";
+    cell.streams[0].program = chainProgram("a", 24, OpCode::Add);
+    cell.streams[0].technique = "Conduit";
+    cell.streams[1].workload = "tenantB";
+    cell.streams[1].program = chainProgram("b", 24, OpCode::Xor);
+    cell.streams[1].technique = "DM-Offloading";
 
     Device dev(testDeviceOptions());
-    for (const auto &s : streams) {
+    for (const runner::StreamSlot &slot : cell.streams) {
         JobSpec job;
-        job.name = s.name;
-        job.program = s.program;
-        job.policyObj = s.policy;
+        job.name = slot.workload;
+        job.program = slot.program;
+        job.policy = slot.technique;
         dev.submit(job);
     }
     const DeviceSnapshot snap = dev.drain();
 
-    // The batch wrapper (facade runStreams, runner cells) is the
-    // same submissions on a fresh device.
-    const sched::MultiRunResult mr =
-        runStreamsOnDevice(testDeviceOptions(), std::move(streams));
+    // The runner's multi-tenant cell (and the facade's runMulti) is
+    // the same submissions on a fresh device.
+    runner::SweepRunner runner;
+    const DeviceSnapshot multi = runner.runMulti(cell);
 
     ASSERT_EQ(snap.jobs.size(), 2u);
+    ASSERT_EQ(multi.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
-        expectSameResult(snap.jobs[i].result, mr.streams[i]);
+        expectSameResult(snap.jobs[i].result, multi.jobs[i].result);
+        EXPECT_EQ(snap.jobs[i].end, multi.jobs[i].end);
+        EXPECT_EQ(snap.jobs[i].basePage, multi.jobs[i].basePage);
+        EXPECT_EQ(snap.jobs[i].pages, multi.jobs[i].pages);
         EXPECT_EQ(snap.jobs[i].arrival, 0u);
         EXPECT_EQ(snap.jobs[i].admitted, 0u);
+        EXPECT_EQ(multi.jobs[i].arrival, 0u);
+        EXPECT_EQ(multi.jobs[i].admitted, 0u);
     }
-    EXPECT_EQ(snap.makespan, mr.makespan);
-    EXPECT_EQ(snap.eventsFired, mr.eventsFired);
-    expectSameResult(snap.aggregate, mr.aggregate);
-    // Regions laid out in submission order, like spec order.
-    EXPECT_EQ(snap.jobs[0].basePage, 0u);
-    EXPECT_EQ(snap.jobs[1].basePage, snap.jobs[0].pages);
+    EXPECT_EQ(snap.makespan, multi.makespan);
+    EXPECT_EQ(snap.eventsFired, multi.eventsFired);
+    expectSameResult(snap.aggregate, multi.aggregate);
+    // Regions laid out in submission order, like slot order.
+    EXPECT_EQ(multi.jobs[0].basePage, 0u);
+    EXPECT_EQ(multi.jobs[1].basePage, multi.jobs[0].pages);
 }
 
 // ------------------------------------------------ arrival semantics

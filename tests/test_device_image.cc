@@ -372,8 +372,44 @@ agingCsv(SweepRunner &runner, const std::vector<AgingRunSpec> &cells)
     return os.str();
 }
 
+/** A fresh-device rate ladder crossed with two policies. */
+std::vector<LoadRunSpec>
+rateLadder(bool steadyState)
+{
+    std::vector<LoadRunSpec> cells;
+    for (const char *policy : {"Conduit", "DM-Offloading"}) {
+        for (double rate : {500.0, 2000.0, 8000.0}) {
+            LoadRunSpec cell;
+            cell.workload = "AES";
+            cell.technique = policy;
+            cell.workloadId = WorkloadId::Aes;
+            cell.params.scale = 1.0 / 64.0;
+            cell.jobs = 2;
+            cell.jobsPerSec = rate;
+            cell.warmupJobs = 3;
+            cell.steadyState = steadyState;
+            cells.push_back(cell);
+        }
+    }
+    return cells;
+}
+
+std::string
+loadCsv(SweepRunner &runner, const std::vector<LoadRunSpec> &cells)
+{
+    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
+    std::vector<runner::LoadRow> rows;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        rows.push_back(runner::makeLoadRow(cells[i], snaps[i]));
+    std::ostringstream os;
+    runner::writeLoadCsv(os, rows);
+    return os.str();
+}
+
 TEST(DeviceImage, ForkModeSweepMatchesColdSweepByteForByte)
 {
+    // The in-place warm replay is the reference the forked sweeps
+    // (the only mode the benches run) are held to.
     SweepRunner runner;
     const std::string cold = agingCsv(runner, agingMatrix(false));
     const std::string fork = agingCsv(runner, agingMatrix(true));
@@ -382,6 +418,14 @@ TEST(DeviceImage, ForkModeSweepMatchesColdSweepByteForByte)
     // Fork mode built one warm image per age rung, shared across the
     // two policies; cold mode built none.
     EXPECT_EQ(runner.lastPerf().warmupImages, 3u);
+
+    // Same contract on a fresh-device offered-load rate ladder: one
+    // image per rate rung, shared across the two policies.
+    const std::string coldLoad = loadCsv(runner, rateLadder(false));
+    EXPECT_EQ(runner.lastPerf().warmupImages, 0u);
+    const std::string forkLoad = loadCsv(runner, rateLadder(true));
+    EXPECT_EQ(runner.lastPerf().warmupImages, 3u);
+    EXPECT_EQ(coldLoad, forkLoad);
 }
 
 TEST(DeviceImage, ForkModeSweepIsThreadCountInvariant)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for event-driven multi-stream execution (streams as tick-0
- * jobs on one Device, via runStreamsOnDevice): determinism of co-run
- * streams across repeat executions, cross-tenant contention
+ * jobs on one Device, via the runner's runMulti cell): determinism
+ * of co-run streams across repeat executions, cross-tenant contention
  * visibility, aggregate accounting, input validation, and the
  * Simulation facade's tenant API.
  */
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.hh"
+#include "src/runner/sweep_runner.hh"
 #include "tests/solo_run.hh"
 
 namespace conduit
@@ -49,26 +50,39 @@ chainProgram(const std::string &name, std::size_t n,
     return prog;
 }
 
-/** Co-run @p streams on a fresh device over @p cfg. */
-sched::MultiRunResult
-coRun(std::vector<sched::StreamSpec> streams,
-      const SsdConfig &cfg = testCfg())
+/** A stream slot running @p prog under @p technique. */
+runner::StreamSlot
+slot(std::shared_ptr<const Program> prog,
+     const std::string &technique = "Conduit",
+     const std::string &name = "")
 {
-    return runStreamsOnDevice(makeDeviceOptions(cfg, {}, {}),
-                              std::move(streams));
+    runner::StreamSlot s;
+    s.workload = name;
+    s.program = std::move(prog);
+    s.technique = technique;
+    return s;
 }
 
-std::vector<sched::StreamSpec>
+/** Co-run @p streams as one multi-tenant cell on a fresh device. */
+DeviceSnapshot
+coRun(std::vector<runner::StreamSlot> streams,
+      const SsdConfig &cfg = testCfg())
+{
+    runner::MultiRunSpec cell;
+    cell.label = "co-run";
+    cell.config = cfg;
+    cell.streams = std::move(streams);
+    runner::SweepRunner runner;
+    return runner.runMulti(cell);
+}
+
+std::vector<runner::StreamSlot>
 twoStreams()
 {
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "tenantA";
-    streams[0].program = chainProgram("a", 24, OpCode::Add);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "tenantB";
-    streams[1].program = chainProgram("b", 24, OpCode::Xor);
-    streams[1].policy = makePolicy("DM-Offloading");
-    return streams;
+    return {slot(chainProgram("a", 24, OpCode::Add), "Conduit",
+                 "tenantA"),
+            slot(chainProgram("b", 24, OpCode::Xor), "DM-Offloading",
+                 "tenantB")};
 }
 
 void
@@ -88,14 +102,21 @@ expectSameResult(const RunResult &x, const RunResult &y)
     EXPECT_EQ(x.latchEvictions, y.latchEvictions);
 }
 
+/** Result of job @p i of a drained co-run. */
+const RunResult &
+job(const DeviceSnapshot &m, std::size_t i)
+{
+    return m.jobs.at(i).result;
+}
+
 TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
 {
     auto r1 = coRun(twoStreams());
     auto r2 = coRun(twoStreams());
-    ASSERT_EQ(r1.streams.size(), 2u);
-    ASSERT_EQ(r2.streams.size(), 2u);
+    ASSERT_EQ(r1.jobs.size(), 2u);
+    ASSERT_EQ(r2.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
-        expectSameResult(r1.streams[i], r2.streams[i]);
+        expectSameResult(job(r1, i), job(r2, i));
     EXPECT_EQ(r1.makespan, r2.makespan);
     EXPECT_EQ(r1.eventsFired, r2.eventsFired);
 }
@@ -106,20 +127,14 @@ TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
     ConduitPolicy pol;
     const RunResult alone = runSolo(testCfg(), *prog, pol);
 
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "first";
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "second";
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    auto m = coRun(std::move(streams));
+    auto m = coRun({slot(prog, "Conduit", "first"),
+                    slot(prog, "Conduit", "second")});
 
     // Contention can only delay a stream, never speed it up — and
     // with two identical tenants on one device at least one must
     // queue behind the other.
-    EXPECT_GE(m.streams[0].execTime, alone.execTime);
-    EXPECT_GE(m.streams[1].execTime, alone.execTime);
+    EXPECT_GE(job(m, 0).execTime, alone.execTime);
+    EXPECT_GE(job(m, 1).execTime, alone.execTime);
     EXPECT_GT(m.makespan, alone.execTime);
 }
 
@@ -132,16 +147,11 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
     ConduitPolicy pol;
     const RunResult alone = runSolo(testCfg(), *prog, pol);
 
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    auto m = coRun(std::move(streams));
+    auto m = coRun({slot(prog), slot(prog)});
     const double isoP99 = alone.latencyUs.percentile(99);
     const double coloP99 =
-        std::max(m.streams[0].latencyUs.percentile(99),
-                 m.streams[1].latencyUs.percentile(99));
+        std::max(job(m, 0).latencyUs.percentile(99),
+                 job(m, 1).latencyUs.percentile(99));
     EXPECT_GE(coloP99, isoP99);
 }
 
@@ -149,17 +159,18 @@ TEST(MultiStream, AggregateSumsPerStreamCounters)
 {
     auto m = coRun(twoStreams());
     const RunResult &agg = m.aggregate;
-    EXPECT_EQ(agg.instrCount,
-              m.streams[0].instrCount + m.streams[1].instrCount);
-    EXPECT_EQ(agg.latencyUs.count(), m.streams[0].latencyUs.count() +
-                                         m.streams[1].latencyUs.count());
+    const RunResult &a = job(m, 0);
+    const RunResult &b = job(m, 1);
+    EXPECT_EQ(agg.instrCount, a.instrCount + b.instrCount);
+    EXPECT_EQ(agg.latencyUs.count(),
+              a.latencyUs.count() + b.latencyUs.count());
     for (std::size_t i = 0; i < kNumTargets; ++i)
-        EXPECT_EQ(agg.perResource[i], m.streams[0].perResource[i] +
-                                          m.streams[1].perResource[i]);
-    EXPECT_DOUBLE_EQ(agg.energyJ(),
-                     m.streams[0].energyJ() + m.streams[1].energyJ());
+        EXPECT_EQ(agg.perResource[i],
+                  a.perResource[i] + b.perResource[i]);
+    EXPECT_DOUBLE_EQ(agg.energyJ(), a.energyJ() + b.energyJ());
     EXPECT_EQ(agg.execTime, m.makespan);
     EXPECT_EQ(agg.workload, "tenantA+tenantB");
+    EXPECT_EQ(agg.policy, "Conduit+DM-Offloading");
 }
 
 TEST(MultiStream, StreamsOccupyDisjointPageRegions)
@@ -167,14 +178,11 @@ TEST(MultiStream, StreamsOccupyDisjointPageRegions)
     // Two streams writing "their" page 0 must not alias: each
     // stream's results are those of its own program, so both
     // complete all instructions and report independent counters.
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = chainProgram("x", 8);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = chainProgram("y", 16);
-    streams[1].policy = makePolicy("Conduit");
-    auto m = coRun(std::move(streams));
-    EXPECT_EQ(m.streams[0].instrCount, 8u);
-    EXPECT_EQ(m.streams[1].instrCount, 16u);
+    auto m = coRun({slot(chainProgram("x", 8)),
+                    slot(chainProgram("y", 16))});
+    EXPECT_EQ(job(m, 0).instrCount, 8u);
+    EXPECT_EQ(job(m, 1).instrCount, 16u);
+    EXPECT_EQ(m.jobs[1].basePage, m.jobs[0].basePage + m.jobs[0].pages);
 }
 
 TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
@@ -183,32 +191,32 @@ TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
     auto prog = std::make_shared<Program>();
     *prog = *chainProgram("big", 2);
     prog->footprintPages = cfg.nand.totalPages() / 2 + 1;
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    EXPECT_THROW(coRun(std::move(streams), cfg), std::invalid_argument);
+    EXPECT_THROW(coRun({slot(prog), slot(prog)}, cfg),
+                 std::invalid_argument);
 }
 
 TEST(MultiStream, MissingProgramOrPolicyRejected)
 {
     EXPECT_THROW(coRun({}), std::invalid_argument);
 
-    // A stream without a policy must not fall back to a default one.
-    std::vector<sched::StreamSpec> noPolicy(1);
-    noPolicy[0].program = chainProgram("z", 2);
-    EXPECT_THROW(coRun(std::move(noPolicy)), std::invalid_argument);
+    // A stream without a policy must not fall back to a default one:
+    // neither an empty technique nor a factory returning nothing.
+    EXPECT_THROW(coRun({slot(chainProgram("z", 2), "")}),
+                 std::invalid_argument);
+    runner::StreamSlot nullFactory = slot(chainProgram("n", 2));
+    nullFactory.policy = [] { return std::unique_ptr<OffloadPolicy>(); };
+    EXPECT_THROW(coRun({nullFactory}), std::invalid_argument);
 
-    std::vector<sched::StreamSpec> noProgram(1);
-    noProgram[0].policy = makePolicy("Conduit");
-    EXPECT_THROW(coRun(std::move(noProgram)), std::invalid_argument);
+    EXPECT_THROW(coRun({slot(nullptr)}), std::invalid_argument);
 
-    // The facade's stream entry point is the same path.
-    std::vector<sched::StreamSpec> viaFacade(1);
-    viaFacade[0].program = chainProgram("f", 2);
+    // Host baselines are not streams.
+    EXPECT_THROW(coRun({slot(chainProgram("h", 2), "CPU")}),
+                 std::invalid_argument);
+
+    // The facade's tenant entry point rejects the same inputs.
     Simulation sim;
-    EXPECT_THROW(sim.runStreams(std::move(viaFacade)),
+    EXPECT_THROW(sim.runMulti({}), std::invalid_argument);
+    EXPECT_THROW(sim.runMulti({{WorkloadId::Aes, ""}}),
                  std::invalid_argument);
 }
 
@@ -223,9 +231,9 @@ TEST(MultiStream, FacadeTenantsRunDeterministically)
     Simulation sim1(opts), sim2(opts);
     auto m1 = sim1.runMulti(tenants);
     auto m2 = sim2.runMulti(tenants);
-    ASSERT_EQ(m1.streams.size(), 2u);
-    for (std::size_t i = 0; i < m1.streams.size(); ++i)
-        expectSameResult(m1.streams[i], m2.streams[i]);
+    ASSERT_EQ(m1.jobs.size(), 2u);
+    for (std::size_t i = 0; i < m1.jobs.size(); ++i)
+        expectSameResult(job(m1, i), job(m2, i));
     EXPECT_EQ(m1.makespan, m2.makespan);
 }
 

@@ -19,6 +19,7 @@
 #include "src/runner/sweep_cli.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
+#include "src/trace/export.hh"
 
 namespace conduit
 {
@@ -145,6 +146,104 @@ TEST(SweepRunner, SpecWithoutProgramOrWorkloadThrows)
     bad.technique = "Conduit";
     SweepRunner runner;
     EXPECT_THROW(runner.run({bad}), std::invalid_argument);
+}
+
+/**
+ * Co-location cells (two isolated runs, two pairs) that all fork one
+ * shared aged warm image, like bench_multi_tenant --age.
+ */
+std::vector<runner::MultiRunSpec>
+agedMultiCells(SweepRunner &runner)
+{
+    runner::LoadRunSpec warm;
+    warm.workload = "AES";
+    warm.workloadId = WorkloadId::Aes;
+    warm.params.scale = 1.0 / 64.0;
+    warm.config.reliability.enabled = true;
+    warm.config.reliability.preWearCycles = 2000;
+    warm.config.reliability.retentionDays = 60.0;
+    warm.warmupJobs = 2;
+    std::uint64_t maxFp = 0;
+    for (WorkloadId id : {WorkloadId::Aes, WorkloadId::Jacobi1d})
+        maxFp = std::max(
+            maxFp, runner.cache()
+                       .get(id, warm.params, warm.config)
+                       ->program.footprintPages);
+    warm.capacityPages = 2 * maxFp;
+    const auto img = std::make_shared<const DeviceImage>(
+        runner.buildWarmImage(warm));
+
+    const auto slot = [](WorkloadId id) {
+        runner::StreamSlot s;
+        s.workloadId = id;
+        s.technique = "Conduit";
+        return s;
+    };
+    std::vector<runner::MultiRunSpec> cells;
+    const std::vector<std::vector<WorkloadId>> tenancies = {
+        {WorkloadId::Aes},
+        {WorkloadId::Jacobi1d},
+        {WorkloadId::Aes, WorkloadId::Jacobi1d},
+        {WorkloadId::Jacobi1d, WorkloadId::Aes}};
+    for (const auto &ids : tenancies) {
+        runner::MultiRunSpec cell;
+        cell.image = img;
+        for (WorkloadId id : ids) {
+            cell.label += (cell.label.empty() ? "" : "+") +
+                workloadName(id);
+            cell.streams.push_back(slot(id));
+        }
+        cells.push_back(std::move(cell));
+    }
+    return cells;
+}
+
+TEST(SweepRunner, ImageForkedMultiCellsRunOnThePoolTracedAndAttributed)
+{
+    trace::TraceConfig tcfg;
+    tcfg.categories = trace::kAllCategories;
+    SweepRunner serial(SweepOptions{1, tcfg});
+    SweepRunner pooled(SweepOptions{4, tcfg});
+    const auto cells = agedMultiCells(serial);
+
+    const std::vector<DeviceSnapshot> one = serial.runMultiAll(cells);
+    const std::vector<DeviceSnapshot> four = pooled.runMultiAll(cells);
+    ASSERT_EQ(one.size(), cells.size());
+    ASSERT_EQ(four.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const std::size_t carried = cells[c].image->jobs.size();
+        ASSERT_EQ(one[c].jobs.size(), carried + cells[c].streams.size());
+        ASSERT_EQ(four[c].jobs.size(), one[c].jobs.size());
+        for (std::size_t j = 0; j < one[c].jobs.size(); ++j) {
+            expectSameResult(one[c].jobs[j].result,
+                             four[c].jobs[j].result);
+            EXPECT_EQ(one[c].jobs[j].end, four[c].jobs[j].end);
+        }
+        // The image's jobs come first; the cell's jobs arrive
+        // together at the fork's clock, labelled by their slots.
+        const Tick forkClock = Device(*cells[c].image).now();
+        EXPECT_GT(forkClock, 0u);
+        for (std::size_t j = carried; j < one[c].jobs.size(); ++j) {
+            EXPECT_EQ(one[c].jobs[j].arrival, forkClock);
+            EXPECT_EQ(one[c].jobs[j].result.workload,
+                      workloadName(*cells[c].streams[j - carried]
+                                        .workloadId));
+        }
+        EXPECT_EQ(one[c].makespan, four[c].makespan);
+        EXPECT_EQ(one[c].eventsFired, four[c].eventsFired);
+    }
+
+    for (SweepRunner *r : {&serial, &pooled}) {
+        EXPECT_EQ(r->lastPerf().cells, cells.size());
+        ASSERT_EQ(r->lastTraces().size(), cells.size());
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            EXPECT_EQ(r->lastTraces()[c].label, cells[c].label);
+            ASSERT_NE(r->lastTraces()[c].tracer, nullptr);
+            EXPECT_GT(r->lastTraces()[c].tracer->events().size(), 0u);
+        }
+    }
+    EXPECT_EQ(trace::toJson(serial.lastTraces()),
+              trace::toJson(pooled.lastTraces()));
 }
 
 TEST(RunMatrix, CrossProductIsWorkloadMajorAndFilterable)
@@ -320,6 +419,27 @@ TEST(SweepCliDeathTest, ScaleMustBeFiniteAndPositive)
     }
     EXPECT_DOUBLE_EQ(parseCli({"--scale", "0.25"}).scale, 0.25);
     EXPECT_DOUBLE_EQ(parseCli({}).scale, 1.0);
+}
+
+TEST(SweepCliDeathTest, CyclesMustFitTheWearCounters)
+{
+    // Device ages are uint32_t P/E-cycle counts: a value past the
+    // counter's range is a usage error, never a silent wrap (e.g.
+    // 4294967297 running as 1 cycle).
+    for (const char *flag : {"--age", "--age-mix", "--ages"}) {
+        for (const char *bad : {"4294967296", "4294967297",
+                                "4294969296", "18446744073709551616",
+                                "-1", "", "12x"}) {
+            EXPECT_EXIT(runner::SweepCli::parseCycles(flag, bad),
+                        ::testing::ExitedWithCode(2),
+                        std::string("invalid value for ") + flag)
+                << flag << " " << bad;
+        }
+    }
+    EXPECT_EQ(runner::SweepCli::parseCycles("--age", "0"), 0u);
+    EXPECT_EQ(runner::SweepCli::parseCycles("--age", "2000"), 2000u);
+    EXPECT_EQ(runner::SweepCli::parseCycles("--age", "4294967295"),
+              4294967295u);
 }
 
 } // namespace
