@@ -71,6 +71,5 @@ main(int argc, char **argv)
     std::printf("\n(values > 1.0 mean the ablated variant is slower "
                 "than full Conduit)\n");
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(runner::toTable(sweep), runner);
 }

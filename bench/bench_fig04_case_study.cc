@@ -113,6 +113,5 @@ main(int argc, char **argv)
                 "IFP+ISP best on compute-intensive (+28%% over IFP) "
                 "and mixed (+40%% over IFP).\n");
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(runner::toTable(sweep), runner);
 }

@@ -75,6 +75,5 @@ main(int argc, char **argv)
                         100.0 * conduit / gmean(speedups["Ideal"]));
     }
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(runner::toTable(sweep), runner);
 }

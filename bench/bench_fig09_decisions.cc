@@ -48,6 +48,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(runner::toTable(sweep), runner);
 }

@@ -124,44 +124,23 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::size_t> sizes = {4};
-    std::size_t jobs = 64;
     std::vector<double> rates;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
     std::vector<std::vector<std::uint32_t>> mixes;
     double retentionPerKCycle = 0.0;
-    std::size_t warmupJobs = 0;
     double sloMult = 3.0;
     bool wearLevel = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--devices") {
             sizes = parseSizes(value());
-        } else if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
         } else if (flag == "--rates") {
             rates = parseRates(value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
         } else if (flag == "--age-mix") {
             for (const std::string &entry : splitCsv(value()))
                 mixes.push_back(parseMix(entry));
         } else if (flag == "--retention-per-kcycle") {
             retentionPerKCycle =
                 parsePositive("--retention-per-kcycle", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs = parseCount("--warmup-jobs", value(),
-                                    /*allow_zero=*/true);
         } else if (flag == "--slo-mult") {
             sloMult = parsePositive("--slo-mult", value());
         } else if (flag == "--wear-level") {
@@ -171,39 +150,19 @@ main(int argc, char **argv)
         }
         return true;
     };
-    const SweepCli cli = SweepCli::parse(
-        argc, argv, extra,
-        "          [--devices a,b] [--jobs N] [--rates a,b]\n"
-        "          [--arrivals KIND] [--arrival-seed N]\n"
-        "          [--age-mix m1,m2] [--retention-per-kcycle D]\n"
-        "          [--warmup-jobs N] [--slo-mult X] [--wear-level]\n");
-    if (mixes.empty())
-        mixes.push_back({0});
-
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(cluster::placementNames());
-
     // Tenant rows: a skewed two-tenant mix by default (AES carries
     // 3x jacobi-1d's arrival weight); --workloads overrides with any
     // Table 3 applications, first listed carrying the heavy share.
-    std::vector<WorkloadId> tenantIds = {WorkloadId::Aes,
-                                         WorkloadId::Jacobi1d};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenantIds.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenantIds.push_back(id);
-        }
-    }
+    const OpenLoopCli o = OpenLoopCli::parse(
+        argc, argv, /*jobs=*/64, {WorkloadId::Aes, WorkloadId::Jacobi1d},
+        cluster::placementNames(), extra,
+        "          [--devices a,b] [--rates a,b] [--age-mix m1,m2]\n"
+        "          [--retention-per-kcycle D] [--slo-mult X]\n"
+        "          [--wear-level]\n");
+    const SweepCli &cli = o.cli;
+    const std::vector<WorkloadId> &tenantIds = o.workloads;
+    if (mixes.empty())
+        mixes.push_back({0});
 
     // The technique axis is the placement policy.
     std::vector<std::string> policies = cluster::placementNames();
@@ -280,11 +239,11 @@ main(int argc, char **argv)
                     cell.devices = sizes[si];
                     cell.ageMix = mix;
                     cell.retentionDaysPerKCycle = retentionPerKCycle;
-                    cell.jobs = jobs;
+                    cell.jobs = o.jobs;
                     cell.jobsPerSec = rate;
-                    cell.arrivals = arrivals;
-                    cell.arrivalSeed = arrivalSeed;
-                    cell.warmupJobs = warmupJobs;
+                    cell.arrivals = o.arrivals;
+                    cell.arrivalSeed = o.arrivalSeed;
+                    cell.warmupJobs = o.warmupJobs;
                     cells.push_back(std::move(cell));
                 }
             }
@@ -295,15 +254,6 @@ main(int argc, char **argv)
     const std::vector<cluster::ClusterSnapshot> snaps =
         runner.runClusterAll(cells);
 
-    // Warm-phase cost is wall-clock (nondeterministic): stderr only.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu fleet cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
     std::vector<runner::ClusterRow> rows;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto cellRows =
@@ -313,7 +263,7 @@ main(int argc, char **argv)
 
     std::printf("Fleet sweep (%zu jobs/cell fleet-wide, %s arrivals, "
                 "%zu tenants)\n\n",
-                jobs, arrivalKindName(arrivals).c_str(),
+                o.jobs, arrivalKindName(o.arrivals).c_str(),
                 tenants.size());
     std::size_t r = 0;
     for (std::size_t si = 0; si < sizes.size(); ++si) {
@@ -362,26 +312,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeClusterCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeClusterJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(runner::toTable(rows), runner);
 }

@@ -38,8 +38,6 @@
  *                        (default 4)
  */
 
-#include <chrono>
-
 #include "bench/common.hh"
 
 namespace
@@ -114,31 +112,14 @@ main(int argc, char **argv)
     if (retentionDays < 0.0)
         retentionDays = static_cast<double>(age) * 30.0 / 1000.0;
 
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Tenant set: the two tail-sensitive workloads of Fig. 8 plus
     // the two cheapest Table 3 applications, so the default matrix
     // stays seconds-long. --workloads widens or narrows it.
-    std::vector<WorkloadId> tenants = {
-        WorkloadId::Aes, WorkloadId::XorFilter, WorkloadId::Jacobi1d,
-        WorkloadId::LlamaInference};
-    const auto keep = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keep, names, "workload"))
-        return 2;
-    if (!keep.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keep.begin(), keep.end(),
-                          workloadName(id)) != keep.end())
-                tenants.push_back(id);
-        }
-    }
+    const std::vector<WorkloadId> tenants = selectWorkloads(
+        cli,
+        {WorkloadId::Aes, WorkloadId::XorFilter, WorkloadId::Jacobi1d,
+         WorkloadId::LlamaInference},
+        policyNames());
     const auto policies = splitCsv(cli.techniqueFilter);
     if (policies.size() > 1) {
         std::fprintf(stderr,
@@ -194,7 +175,6 @@ main(int argc, char **argv)
         }
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     SweepRunner runner(cli.runnerOptions());
     if (age > 0) {
         // Build the shared pre-worn image once: the aged config
@@ -220,10 +200,6 @@ main(int argc, char **argv)
             cell.image = img;
     }
     const std::vector<DeviceSnapshot> results = runner.runMultiAll(cells);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
 
     const std::size_t n = tenants.size();
     if (age > 0)
@@ -303,7 +279,7 @@ main(int argc, char **argv)
     }
 
     const SweepResult rows(std::move(rowSpecs), std::move(rowResults),
-                           wall, runner.workerCount(cells.size()));
-    const auto perf = runner.lastPerf();
-    return cli.finish(rows, &perf, &runner);
+                           runner.lastPerf().wallSeconds,
+                           runner.workerCount(cells.size()));
+    return cli.finish(runner::toTable(rows), runner);
 }

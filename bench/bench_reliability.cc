@@ -40,8 +40,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "bench/common.hh"
 
@@ -76,21 +74,12 @@ main(int argc, char **argv)
     using namespace conduit;
     using namespace conduit::bench;
 
-    std::size_t jobs = 6;
     std::vector<std::uint32_t> ages = {0, 1000, 2000, 3000};
     double retentionPerKcycle = 30.0;
     double rateMult = 2.0;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
-    std::size_t warmupJobs = 0;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs =
-                parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--ages") {
+        if (flag == "--ages") {
             ages = parseAges(value());
             if (ages.empty())
                 badFlagValue("--ages", "");
@@ -101,53 +90,18 @@ main(int argc, char **argv)
                 "--retention-per-kcycle", value(), /*allow_zero=*/true);
         } else if (flag == "--rate-mult") {
             rateMult = parsePositive("--rate-mult", value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
         } else {
             return false;
         }
         return true;
     };
-    const SweepCli cli = SweepCli::parse(
-        argc, argv,
-        extra,
-        "          [--jobs N] [--ages a,b,c]\n"
-        "          [--retention-per-kcycle D] [--rate-mult M]\n"
-        "          [--arrivals KIND] [--arrival-seed N]\n"
-        "          [--warmup-jobs N]\n");
-
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Workload rows: AES by default (flash-read heavy, so the ECC
     // ladder dominates its service time); --workloads widens.
-    std::vector<WorkloadId> tenants = {WorkloadId::Aes};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenants.push_back(id);
-        }
-    }
+    const OpenLoopCli o = OpenLoopCli::parse(
+        argc, argv, /*jobs=*/6, {WorkloadId::Aes}, policyNames(), extra,
+        "          [--ages a,b,c] [--retention-per-kcycle D]\n"
+        "          [--rate-mult M]\n");
+    const SweepCli &cli = o.cli;
 
     std::vector<std::string> policies = {"Conduit", "DM-Offloading"};
     const auto keepP = splitCsv(cli.techniqueFilter);
@@ -175,7 +129,7 @@ main(int argc, char **argv)
     // rate, which is then held fixed across ages and policies so
     // rows differ only by device age and offload decisions.
     std::vector<AgingRunSpec> cells;
-    for (WorkloadId w : tenants) {
+    for (WorkloadId w : o.workloads) {
         LoadRunSpec iso;
         iso.workload = workloadName(w);
         iso.technique = policies.front();
@@ -193,12 +147,12 @@ main(int argc, char **argv)
                 cell.load.technique = policy;
                 cell.load.workloadId = w;
                 cell.load.params = params;
-                cell.load.jobs = jobs;
+                cell.load.jobs = o.jobs;
                 cell.load.jobsPerSec = rate;
-                cell.load.arrivals = arrivals;
-                cell.load.arrivalSeed = arrivalSeed;
-                cell.load.warmupJobs = warmupJobs;
-                cell.load.steadyState = warmupJobs > 0;
+                cell.load.arrivals = o.arrivals;
+                cell.load.arrivalSeed = o.arrivalSeed;
+                cell.load.warmupJobs = o.warmupJobs;
+                cell.load.steadyState = o.warmupJobs > 0;
                 cell.preWearCycles = age;
                 cell.retentionDays = static_cast<double>(age) *
                     retentionPerKcycle / 1000.0;
@@ -209,16 +163,6 @@ main(int argc, char **argv)
 
     const std::vector<DeviceSnapshot> snaps = runner.runAgingAll(cells);
 
-    // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical across thread counts.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
     std::vector<runner::AgingRow> rows;
     rows.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -226,9 +170,9 @@ main(int argc, char **argv)
 
     std::printf("Reliability & device-aging sweep (%zu jobs/cell, %s "
                 "arrivals, %.3gx offered load)\n\n",
-                jobs, arrivalKindName(arrivals).c_str(), rateMult);
+                o.jobs, arrivalKindName(o.arrivals).c_str(), rateMult);
     std::size_t r = 0;
-    for (WorkloadId w : tenants) {
+    for (WorkloadId w : o.workloads) {
         std::printf("%s\n", workloadName(w).c_str());
         std::printf("  %-16s %9s %8s %9s %11s %13s %9s %8s %8s %8s\n",
                     "policy", "age(P/E)", "ret(d)", "thpt/s",
@@ -257,26 +201,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeAgingCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeAgingJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(runner::toTable(rows), runner);
 }

@@ -34,8 +34,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "bench/common.hh"
 
@@ -68,64 +66,20 @@ main(int argc, char **argv)
     using namespace conduit;
     using namespace conduit::bench;
 
-    std::size_t jobs = 8;
     std::vector<double> rates;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
-    std::size_t warmupJobs = 0;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs =
-                parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--rates") {
-            rates = parseRates(value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
-        } else {
+        if (flag != "--rates")
             return false;
-        }
+        rates = parseRates(value());
         return true;
     };
-    const SweepCli cli = SweepCli::parse(
-        argc, argv, extra,
-        "          [--jobs N] [--rates a,b] [--arrivals KIND]\n"
-        "          [--arrival-seed N] [--warmup-jobs N]\n");
-
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Workload rows: the tail-sensitive AES kernel by default;
     // --workloads widens to any Table 3 application.
-    std::vector<WorkloadId> tenants = {WorkloadId::Aes};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenants.push_back(id);
-        }
-    }
+    const OpenLoopCli o = OpenLoopCli::parse(
+        argc, argv, /*jobs=*/8, {WorkloadId::Aes}, policyNames(), extra,
+        "          [--rates a,b]\n");
+    const SweepCli &cli = o.cli;
 
     // Policy columns: validated against the policy table — an
     // unknown filter entry is rejected with the accepted names.
@@ -156,7 +110,7 @@ main(int argc, char **argv)
     // replayed for every policy so curves differ only by decisions.
     std::vector<LoadRunSpec> cells;
     std::vector<std::size_t> rateCounts; // per workload row
-    for (WorkloadId w : tenants) {
+    for (WorkloadId w : o.workloads) {
         std::vector<double> wRates = rates;
         if (wRates.empty()) {
             // Self-calibrate: one isolated job under the first
@@ -180,12 +134,12 @@ main(int argc, char **argv)
                 cell.technique = policy;
                 cell.workloadId = w;
                 cell.params = params;
-                cell.jobs = jobs;
+                cell.jobs = o.jobs;
                 cell.jobsPerSec = rate;
-                cell.arrivals = arrivals;
-                cell.arrivalSeed = arrivalSeed;
-                cell.warmupJobs = warmupJobs;
-                cell.steadyState = warmupJobs > 0;
+                cell.arrivals = o.arrivals;
+                cell.arrivalSeed = o.arrivalSeed;
+                cell.warmupJobs = o.warmupJobs;
+                cell.steadyState = o.warmupJobs > 0;
                 cells.push_back(std::move(cell));
             }
         }
@@ -194,16 +148,6 @@ main(int argc, char **argv)
 
     const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
 
-    // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical across thread counts.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
     std::vector<runner::LoadRow> rows;
     rows.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -211,10 +155,10 @@ main(int argc, char **argv)
 
     std::printf("Open-loop saturation sweep (%zu jobs/cell, %s "
                 "arrivals)\n\n",
-                jobs, arrivalKindName(arrivals).c_str());
+                o.jobs, arrivalKindName(o.arrivals).c_str());
     std::size_t r = 0;
-    for (std::size_t wi = 0; wi < tenants.size(); ++wi) {
-        std::printf("%s\n", workloadName(tenants[wi]).c_str());
+    for (std::size_t wi = 0; wi < o.workloads.size(); ++wi) {
+        std::printf("%s\n", workloadName(o.workloads[wi]).c_str());
         std::printf("  %-16s %12s %12s %14s %12s %12s\n", "policy",
                     "offered/s", "thpt/s", "sojourn (ms)", "p99 (us)",
                     "p99.99 (us)");
@@ -232,26 +176,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeLoadCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeLoadJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(runner::toTable(rows), runner);
 }

@@ -23,7 +23,6 @@
 #include "src/core/engine.hh"
 #include "src/offload/policy.hh"
 #include "src/sim/config.hh"
-#include "src/trace/trace.hh"
 #include "src/workloads/workloads.hh"
 
 namespace conduit::runner
@@ -238,7 +237,9 @@ struct LoadRunSpec
      * @name Steady-state (warm-device) measurement
      *
      * With warmupJobs > 0 the cell runs two phases: warmupJobs jobs
-     * of warm traffic drive the device to quiescence, then the
+     * of warm traffic (always under Conduit, not the cell's
+     * technique, so cells differing only by policy share one warmed
+     * image) drive the device to quiescence, then the
      * measured @ref jobs run on the warmed device (arrival gaps
      * continue the same process; result rows report the measured
      * phase). steadyState selects how the warm phase executes:
@@ -251,13 +252,6 @@ struct LoadRunSpec
 
     /** Warm-traffic jobs before the measured phase (0 = cold run). */
     std::size_t warmupJobs = 0;
-
-    /**
-     * Policy the warm traffic runs under. Fixed per rung — not the
-     * cell's technique — so cells differing only by policy share one
-     * warmed image.
-     */
-    std::string warmupTechnique = "Conduit";
 
     /** Fork from a warm DeviceImage instead of replaying the warm
      *  phase in place. Requires warmupJobs > 0. */
@@ -392,18 +386,6 @@ struct ClusterRunSpec
      * builds each image once no matter how many cells share it.
      */
     std::size_t warmupJobs = 0;
-
-    /** Policy the warm traffic runs under (fixed per image). */
-    std::string warmupTechnique = "Conduit";
-
-    /**
-     * Cell-level tracing config; when enabled it overrides the
-     * sweep-wide SweepOptions::trace for this cell. The fleet shares
-     * one Tracer across its devices (device index = trace device id),
-     * so placement decisions and per-device activity land in one
-     * trace.
-     */
-    trace::TraceConfig trace;
 };
 
 /**

@@ -204,9 +204,12 @@ SweepCli::configure(RunMatrix &matrix,
     matrix.filterTechniques(techniques);
 }
 
+namespace
+{
+
+/** --cell-perf rows: label,wall_seconds,events_fired,events_per_sec. */
 bool
-SweepCli::writeCellPerfCsv(const std::string &path,
-                           const SweepPerf &perf)
+writeCellPerfCsv(const std::string &path, const SweepPerf &perf)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -221,61 +224,41 @@ SweepCli::writeCellPerfCsv(const std::string &path,
     return std::fclose(f) == 0;
 }
 
-int
-SweepCli::writeTraces(const SweepRunner &runner) const
-{
-    if (tracePath.empty())
-        return 0;
-    if (!trace::writeTraceFile(tracePath, runner.lastTraces())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     tracePath.c_str());
-        return 1;
-    }
-    return 0;
-}
+} // namespace
 
 int
-SweepCli::finish(const SweepResult &sweep, const SweepPerf *perf,
-                 const SweepRunner *runner) const
+SweepCli::finish(const RowTable &rows, const SweepRunner &runner) const
 {
+    const SweepPerf &perf = runner.lastPerf();
     int status = 0;
-    if (!csvPath.empty() && !sweep.writeCsvFile(csvPath)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     csvPath.c_str());
-        status = 1;
-    }
-    if (!jsonPath.empty() && !sweep.writeJsonFile(jsonPath)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     jsonPath.c_str());
-        status = 1;
-    }
-    if (!cellPerfPath.empty()) {
-        if (!perf) {
-            std::fprintf(stderr,
-                         "error: this bench does not attribute "
-                         "per-cell perf; --cell-perf ignored\n");
-            status = 1;
-        } else if (!writeCellPerfCsv(cellPerfPath, *perf)) {
+    const auto check = [&](const std::string &path, bool written) {
+        if (!written) {
             std::fprintf(stderr, "error: could not write %s\n",
-                         cellPerfPath.c_str());
+                         path.c_str());
             status = 1;
         }
-    }
-    if (!tracePath.empty()) {
-        if (!runner) {
-            std::fprintf(stderr,
-                         "error: this bench does not run through a "
-                         "SweepRunner sweep; --trace ignored\n");
-            status = 1;
-        } else {
-            status |= writeTraces(*runner);
-        }
-    }
-    std::fprintf(stderr,
-                 "[sweep] %zu runs on %u thread%s in %.2fs\n",
-                 sweep.size(), sweep.threads(),
-                 sweep.threads() == 1 ? "" : "s",
-                 sweep.wallSeconds());
+    };
+    if (!csvPath.empty())
+        check(csvPath, rows.writeFile(csvPath, /*json=*/false));
+    if (!jsonPath.empty())
+        check(jsonPath, rows.writeFile(jsonPath, /*json=*/true));
+    if (!cellPerfPath.empty())
+        check(cellPerfPath, writeCellPerfCsv(cellPerfPath, perf));
+    if (!tracePath.empty())
+        check(tracePath,
+              trace::writeTraceFile(tracePath, runner.lastTraces()));
+
+    // Wall-clock is nondeterministic, so it goes to stderr: stdout
+    // stays byte-identical across thread counts.
+    if (perf.warmupImages > 0)
+        std::fprintf(stderr,
+                     "warmup: %zu image(s) built once in %.3f s, "
+                     "forked across %zu cells\n",
+                     perf.warmupImages, perf.warmupSeconds, perf.cells);
+    const unsigned threads = runner.workerCount(perf.cells);
+    std::fprintf(stderr, "[sweep] %zu runs on %u thread%s in %.2fs\n",
+                 perf.cells, threads, threads == 1 ? "" : "s",
+                 perf.wallSeconds);
     return status;
 }
 

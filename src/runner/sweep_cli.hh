@@ -123,38 +123,17 @@ struct SweepCli
                    const std::string &baseline = "") const;
 
     /**
-     * Post-sweep bookkeeping: write the requested CSV/JSON files
-     * and report wall-clock + thread count on stderr.
+     * Post-sweep bookkeeping, the one place sweep output files are
+     * opened: write @p rows to the requested --csv / --json files,
+     * @p runner's lastPerf() to --cell-perf and its lastTraces() to
+     * --trace, and report the sweep's wall-clock, thread count and
+     * (when it built warm images) warm-phase cost on stderr.
      *
      * @return Process exit status: 0 on success, 1 when a requested
      *         output file could not be written (benches return this
      *         from main so scripted pipelines see the failure).
-     *
-     * Pass the sweep's SweepPerf (runner.lastPerf()) to service
-     * --cell-perf; benches that cannot attribute per-cell perf leave
-     * it null and the flag reports itself unsupported. Likewise pass
-     * @p runner to service --trace (lastTraces()); benches that
-     * collect results outside a SweepRunner sweep call writeTraces()
-     * themselves instead.
      */
-    int finish(const SweepResult &sweep,
-               const SweepPerf *perf = nullptr,
-               const SweepRunner *runner = nullptr) const;
-
-    /**
-     * Service --trace against @p runner's lastTraces(): no-op without
-     * the flag, else write the trace file.
-     * @return Process exit status contribution (0 ok, 1 on failure).
-     */
-    int writeTraces(const SweepRunner &runner) const;
-
-    /**
-     * Write @p perf's per-cell rows to @p path as CSV
-     * (label,wall_seconds,events_fired,events_per_sec).
-     * @return false when the file could not be written.
-     */
-    static bool writeCellPerfCsv(const std::string &path,
-                                 const SweepPerf &perf);
+    int finish(const RowTable &rows, const SweepRunner &runner) const;
 };
 
 /** Print @p labels one per line (deduplicated, in order), exit 0. */

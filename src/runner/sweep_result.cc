@@ -47,15 +47,9 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** One row's emitted fields, shared by the CSV and JSON writers. */
-struct Field
-{
-    const char *name;
-    std::string value;
-    bool quoted;
-};
+using Row = RowTable::Row;
 
-std::vector<Field>
+Row
 rowFields(const RunSpec &spec, const RunResult &r)
 {
     const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
@@ -90,52 +84,16 @@ rowFields(const RunSpec &spec, const RunResult &r)
     };
 }
 
-/** CSV writer over pre-built field rows (header from the first). */
-void
-writeFieldCsv(std::ostream &os,
-              const std::vector<std::vector<Field>> &rows)
+/** Project every element of @p rows through @p fields. */
+template <typename T, typename Fields>
+RowTable
+project(const std::vector<T> &rows, const Fields &fields)
 {
-    bool header_done = false;
-    for (const auto &fields : rows) {
-        if (!header_done) {
-            for (std::size_t f = 0; f < fields.size(); ++f)
-                os << (f ? "," : "") << fields[f].name;
-            os << "\n";
-            header_done = true;
-        }
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            if (f)
-                os << ",";
-            if (fields[f].quoted)
-                os << '"' << fields[f].value << '"';
-            else
-                os << fields[f].value;
-        }
-        os << "\n";
-    }
-}
-
-/** JSON array-of-objects writer over pre-built field rows. */
-void
-writeFieldJson(std::ostream &os,
-               const std::vector<std::vector<Field>> &rows)
-{
-    os << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &fields = rows[i];
-        os << "  {";
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            if (f)
-                os << ", ";
-            os << '"' << fields[f].name << "\": ";
-            if (fields[f].quoted)
-                os << '"' << jsonEscape(fields[f].value) << '"';
-            else
-                os << fields[f].value;
-        }
-        os << (i + 1 < rows.size() ? "},\n" : "}\n");
-    }
-    os << "]\n";
+    std::vector<Row> out;
+    out.reserve(rows.size());
+    for (const T &row : rows)
+        out.push_back(fields(row));
+    return RowTable(std::move(out));
 }
 
 } // namespace
@@ -205,47 +163,79 @@ SweepResult::techniqueLabels() const
 void
 SweepResult::writeCsv(std::ostream &os) const
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(results_.size());
-    for (std::size_t i = 0; i < results_.size(); ++i)
-        fields.push_back(rowFields(specs_[i], results_[i]));
-    writeFieldCsv(os, fields);
+    toTable(*this).writeCsv(os);
 }
 
 void
-SweepResult::writeJson(std::ostream &os) const
+RowTable::writeCsv(std::ostream &os) const
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(results_.size());
-    for (std::size_t i = 0; i < results_.size(); ++i)
-        fields.push_back(rowFields(specs_[i], results_[i]));
-    writeFieldJson(os, fields);
+    if (rows_.empty())
+        return;
+    const Row &first = rows_.front();
+    for (std::size_t f = 0; f < first.size(); ++f)
+        os << (f ? "," : "") << first[f].name;
+    os << "\n";
+    for (const Row &fields : rows_) {
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+            if (f)
+                os << ",";
+            if (fields[f].quoted)
+                os << '"' << fields[f].value << '"';
+            else
+                os << fields[f].value;
+        }
+        os << "\n";
+    }
+}
+
+void
+RowTable::writeJson(std::ostream &os) const
+{
+    os << "[\n";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        const Row &fields = rows_[i];
+        os << "  {";
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+            if (f)
+                os << ", ";
+            os << '"' << fields[f].name << "\": ";
+            if (fields[f].quoted)
+                os << '"' << jsonEscape(fields[f].value) << '"';
+            else
+                os << fields[f].value;
+        }
+        os << (i + 1 < rows_.size() ? "},\n" : "}\n");
+    }
+    os << "]\n";
 }
 
 bool
-SweepResult::writeCsvFile(const std::string &path) const
+RowTable::writeFile(const std::string &path, bool json) const
 {
     std::ofstream os(path);
     if (!os)
         return false;
-    writeCsv(os);
+    if (json)
+        writeJson(os);
+    else
+        writeCsv(os);
     return static_cast<bool>(os);
 }
 
-bool
-SweepResult::writeJsonFile(const std::string &path) const
+RowTable
+toTable(const SweepResult &sweep)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeJson(os);
-    return static_cast<bool>(os);
+    std::vector<Row> rows;
+    rows.reserve(sweep.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i)
+        rows.push_back(rowFields(sweep.spec(i), sweep.result(i)));
+    return RowTable(std::move(rows));
 }
 
 namespace
 {
 
-std::vector<Field>
+Row
 loadRowFields(const LoadRow &r)
 {
     return {
@@ -263,13 +253,13 @@ loadRowFields(const LoadRow &r)
     };
 }
 
-std::vector<Field>
+Row
 agingRowFields(const AgingRow &r)
 {
-    std::vector<Field> fields = loadRowFields(r.load);
+    Row fields = loadRowFields(r.load);
     // The age axis sits right after the identity columns so grouped
     // (workload, technique) blocks read as age ladders.
-    const std::vector<Field> age = {
+    const Row age = {
         {"pre_wear_cycles", std::to_string(r.preWearCycles), false},
         {"retention_days", fmtDouble(r.retentionDays), false},
     };
@@ -339,46 +329,10 @@ makeLoadRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
     return r;
 }
 
-void
-writeLoadCsv(std::ostream &os, const std::vector<LoadRow> &rows)
+RowTable
+toTable(const std::vector<LoadRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const LoadRow &row : rows)
-        fields.push_back(loadRowFields(row));
-    writeFieldCsv(os, fields);
-}
-
-void
-writeLoadJson(std::ostream &os, const std::vector<LoadRow> &rows)
-{
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const LoadRow &row : rows)
-        fields.push_back(loadRowFields(row));
-    writeFieldJson(os, fields);
-}
-
-bool
-writeLoadCsvFile(const std::string &path,
-                 const std::vector<LoadRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeLoadCsv(os, rows);
-    return static_cast<bool>(os);
-}
-
-bool
-writeLoadJsonFile(const std::string &path,
-                  const std::vector<LoadRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeLoadJson(os, rows);
-    return static_cast<bool>(os);
+    return project(rows, loadRowFields);
 }
 
 AgingRow
@@ -392,52 +346,22 @@ makeAgingRow(const AgingRunSpec &spec, const DeviceSnapshot &snap)
     return r;
 }
 
+RowTable
+toTable(const std::vector<AgingRow> &rows)
+{
+    return project(rows, agingRowFields);
+}
+
 void
 writeAgingCsv(std::ostream &os, const std::vector<AgingRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const AgingRow &row : rows)
-        fields.push_back(agingRowFields(row));
-    writeFieldCsv(os, fields);
-}
-
-void
-writeAgingJson(std::ostream &os, const std::vector<AgingRow> &rows)
-{
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const AgingRow &row : rows)
-        fields.push_back(agingRowFields(row));
-    writeFieldJson(os, fields);
-}
-
-bool
-writeAgingCsvFile(const std::string &path,
-                  const std::vector<AgingRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeAgingCsv(os, rows);
-    return static_cast<bool>(os);
-}
-
-bool
-writeAgingJsonFile(const std::string &path,
-                   const std::vector<AgingRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeAgingJson(os, rows);
-    return static_cast<bool>(os);
+    toTable(rows).writeCsv(os);
 }
 
 namespace
 {
 
-std::vector<Field>
+Row
 clusterRowFields(const ClusterRow &r)
 {
     return {
@@ -593,47 +517,16 @@ makeClusterRows(const ClusterRunSpec &spec,
     return rows;
 }
 
+RowTable
+toTable(const std::vector<ClusterRow> &rows)
+{
+    return project(rows, clusterRowFields);
+}
+
 void
 writeClusterCsv(std::ostream &os, const std::vector<ClusterRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const ClusterRow &row : rows)
-        fields.push_back(clusterRowFields(row));
-    writeFieldCsv(os, fields);
-}
-
-void
-writeClusterJson(std::ostream &os,
-                 const std::vector<ClusterRow> &rows)
-{
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const ClusterRow &row : rows)
-        fields.push_back(clusterRowFields(row));
-    writeFieldJson(os, fields);
-}
-
-bool
-writeClusterCsvFile(const std::string &path,
-                    const std::vector<ClusterRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeClusterCsv(os, rows);
-    return static_cast<bool>(os);
-}
-
-bool
-writeClusterJsonFile(const std::string &path,
-                     const std::vector<ClusterRow> &rows)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeClusterJson(os, rows);
-    return static_cast<bool>(os);
+    toTable(rows).writeCsv(os);
 }
 
 double

@@ -3,10 +3,10 @@
  * Sweep result aggregation and emission.
  *
  * SweepResult pairs every RunSpec with its RunResult in spec order
- * (independent of how the sweep was scheduled across threads) and
- * owns the result-emission layer the benches share: machine-readable
- * CSV / JSON rows plus the table-formatting helpers that used to be
- * copy-pasted into bench/common.hh.
+ * (independent of how the sweep was scheduled across threads). Every
+ * row shape the benches emit (SweepResult, LoadRow, AgingRow,
+ * ClusterRow) projects onto one RowTable through toTable(); the
+ * table alone knows the CSV / JSON formats.
  */
 
 #ifndef CONDUIT_RUNNER_SWEEP_RESULT_HH
@@ -14,6 +14,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.hh"
@@ -63,20 +64,9 @@ class SweepResult
     /** Worker threads the sweep actually used. */
     unsigned threads() const { return threads_; }
 
-    /**
-     * Emit one CSV row per run (stable header, spec order). Output
-     * is byte-identical for identical specs regardless of the
-     * thread count the sweep ran with.
-     */
+    /** toTable(*this).writeCsv(os); kept only because the
+     *  benchmark harness (perfbench/) calls it and stays frozen. */
     void writeCsv(std::ostream &os) const;
-
-    /** Emit a JSON array of row objects (same fields as the CSV). */
-    void writeJson(std::ostream &os) const;
-
-    /** @name Convenience file variants @{ */
-    bool writeCsvFile(const std::string &path) const;
-    bool writeJsonFile(const std::string &path) const;
-    /** @} */
 
   private:
     std::vector<RunSpec> specs_;
@@ -118,16 +108,6 @@ struct LoadRow
 LoadRow makeLoadRow(const LoadRunSpec &spec,
                     const DeviceSnapshot &snap);
 
-/** @name Offered-load row emission (same contract as SweepResult's:
- *  byte-identical output for identical specs, any thread count) @{ */
-void writeLoadCsv(std::ostream &os, const std::vector<LoadRow> &rows);
-void writeLoadJson(std::ostream &os, const std::vector<LoadRow> &rows);
-bool writeLoadCsvFile(const std::string &path,
-                      const std::vector<LoadRow> &rows);
-bool writeLoadJsonFile(const std::string &path,
-                       const std::vector<LoadRow> &rows);
-/** @} */
-
 /**
  * One emitted row of a device-aging sweep: the offered-load row
  * fields plus the device's age and its reliability outcomes.
@@ -148,18 +128,6 @@ struct AgingRow
 /** Reduce an executed aging cell's snapshot to its emitted row. */
 AgingRow makeAgingRow(const AgingRunSpec &spec,
                       const DeviceSnapshot &snap);
-
-/** @name Aging row emission (byte-identical for identical specs,
- *  any thread count) @{ */
-void writeAgingCsv(std::ostream &os,
-                   const std::vector<AgingRow> &rows);
-void writeAgingJson(std::ostream &os,
-                    const std::vector<AgingRow> &rows);
-bool writeAgingCsvFile(const std::string &path,
-                       const std::vector<AgingRow> &rows);
-bool writeAgingJsonFile(const std::string &path,
-                        const std::vector<AgingRow> &rows);
-/** @} */
 
 /**
  * One emitted row of a fleet sweep. A cell emits one "fleet" row
@@ -231,16 +199,55 @@ std::vector<ClusterRow>
 makeClusterRows(const ClusterRunSpec &spec,
                 const cluster::ClusterSnapshot &snap);
 
-/** @name Fleet row emission (byte-identical for identical specs,
- *  any thread count) @{ */
+/**
+ * Emitted result rows, format-agnostic: each row is the same ordered
+ * list of named fields (the header comes from the first row). Built
+ * by toTable() from any row shape; the writers are byte-identical
+ * for identical specs, whatever thread count the sweep ran with.
+ */
+class RowTable
+{
+  public:
+    /** One named value; quoted fields are strings in CSV and JSON. */
+    struct Field
+    {
+        const char *name;
+        std::string value;
+        bool quoted;
+    };
+    using Row = std::vector<Field>;
+
+    explicit RowTable(std::vector<Row> rows) : rows_(std::move(rows)) {}
+
+    /** Header line, then one line per row (nothing when empty). */
+    void writeCsv(std::ostream &os) const;
+
+    /** A JSON array of one object per row (same fields as the CSV). */
+    void writeJson(std::ostream &os) const;
+
+    /**
+     * Write the table to @p path as CSV, or JSON when @p json.
+     * @return false when the file could not be written.
+     */
+    bool writeFile(const std::string &path, bool json) const;
+
+  private:
+    std::vector<Row> rows_;
+};
+
+/** @name Row projections: the only per-shape emission code @{ */
+RowTable toTable(const SweepResult &sweep);
+RowTable toTable(const std::vector<LoadRow> &rows);
+RowTable toTable(const std::vector<AgingRow> &rows);
+RowTable toTable(const std::vector<ClusterRow> &rows);
+/** @} */
+
+/** @name toTable(rows).writeCsv(os); kept only because the benchmark
+ *  harness (perfbench/) calls them and stays frozen @{ */
+void writeAgingCsv(std::ostream &os,
+                   const std::vector<AgingRow> &rows);
 void writeClusterCsv(std::ostream &os,
                      const std::vector<ClusterRow> &rows);
-void writeClusterJson(std::ostream &os,
-                      const std::vector<ClusterRow> &rows);
-bool writeClusterCsvFile(const std::string &path,
-                         const std::vector<ClusterRow> &rows);
-bool writeClusterJsonFile(const std::string &path,
-                          const std::vector<ClusterRow> &rows);
 /** @} */
 
 /** Geometric mean of a vector of ratios (0 if empty). */

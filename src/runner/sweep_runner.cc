@@ -167,10 +167,16 @@ loadArrivals(const LoadRunSpec &spec)
 }
 
 /**
+ * Policy every warm phase runs under. Fixed — not the cell's
+ * technique — so cells differing only by policy share one warm image.
+ */
+constexpr const char *kWarmupTechnique = "Conduit";
+
+/**
  * Submit @p count jobs to @p dev, each advancing @p at by the next
- * arrival gap. Warm-phase jobs run under spec.warmupTechnique (by
- * name — custom policy factories apply to measured jobs only, so
- * warm phases stay shareable across a factory-varied sweep).
+ * arrival gap. Warm-phase jobs run under kWarmupTechnique (by name —
+ * custom policy factories apply to measured jobs only, so warm phases
+ * stay shareable across a factory-varied sweep).
  */
 void
 submitLoadJobs(Device &dev, const LoadRunSpec &spec,
@@ -187,7 +193,7 @@ submitLoadJobs(Device &dev, const LoadRunSpec &spec,
         // Fresh policy object per job (policies may carry state).
         job.policyObj = warm
             ? std::shared_ptr<OffloadPolicy>(
-                  makePolicy(spec.warmupTechnique))
+                  makePolicy(kWarmupTechnique))
             : cellPolicy(spec.policy, spec.technique);
         job.arrival = at;
         dev.submit(job);
@@ -200,7 +206,7 @@ submitLoadJobs(Device &dev, const LoadRunSpec &spec,
  * runLoadSweep builds the image once and lets every matching cell
  * fork it. Covers the axes the benches and the aging transform vary
  * (technique and measured-job count are deliberately absent — the
- * warm phase runs under warmupTechnique before any measured job).
+ * warm phase runs under kWarmupTechnique before any measured job).
  */
 std::string
 warmImageKey(const LoadRunSpec &spec)
@@ -230,7 +236,7 @@ warmImageKey(const LoadRunSpec &spec)
         static_cast<unsigned long>(spec.config.reliability.wearLevelGap),
         static_cast<unsigned long>(
             spec.config.reliability.wearLevelMaxPerPass));
-    return spec.workload + "/" + spec.warmupTechnique + buf;
+    return spec.workload + buf;
 }
 
 /** Age rung of fleet device @p d (ageMix cycles round-robin). */
@@ -255,7 +261,7 @@ clusterDeviceRecipe(const ClusterRunSpec &spec, std::uint32_t rung)
     const ClusterTenant &t0 = spec.tenants.front();
     LoadRunSpec r;
     r.workload = displayName(t0.name, t0.workloadId, t0.program);
-    r.technique = spec.warmupTechnique;
+    r.technique = kWarmupTechnique;
     r.config = spec.config;
     r.engine = spec.engine;
     r.params = spec.params;
@@ -267,7 +273,6 @@ clusterDeviceRecipe(const ClusterRunSpec &spec, std::uint32_t rung)
     r.arrivalSeed = spec.arrivalSeed;
     r.capacityPages = spec.capacityPages;
     r.warmupJobs = spec.warmupJobs;
-    r.warmupTechnique = spec.warmupTechnique;
     r.steadyState = spec.warmupJobs > 0;
     if (rung > 0) {
         r.config.reliability.enabled = true;
@@ -295,54 +300,32 @@ clusterCellLabel(const ClusterRunSpec &spec)
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts) {}
 
-SweepPerf
-SweepRunner::lastPerf() const
-{
-    SweepPerf p;
-    p.wallSeconds = perfWall_;
-    p.cells = perfCells_;
-    p.eventsFired = perfEvents_.load(std::memory_order_relaxed);
-    p.perCell = perfPerCell_;
-    p.warmupSeconds = perfWarmWall_;
-    p.warmupImages = perfWarmImages_;
-    return p;
-}
-
 template <typename Result, typename Cell>
 std::vector<Result>
 SweepRunner::sweepCells(const std::vector<std::string> &labels,
-                        const Cell &cell, const TraceOf &traceOf)
+                        const Cell &cell)
 {
     const std::size_t n = labels.size();
     std::vector<Result> results(n);
-    perfCells_ = n;
-    perfEvents_.store(0, std::memory_order_relaxed);
-    perfPerCell_.assign(n, {});
-    perfWarmWall_ = 0.0;
-    perfWarmImages_ = 0;
+    perf_ = SweepPerf{};
+    perf_.cells = n;
+    perf_.perCell.assign(n, {});
     traceCells_.assign(n, {});
     const auto t0 = std::chrono::steady_clock::now();
+    // Workers own disjoint per-cell slots: no synchronization is
+    // needed beyond the pool join.
     parallelFor(workerCount(n), n, [&](std::size_t i) {
         const auto c0 = std::chrono::steady_clock::now();
-        auto tracer = makeTracer(traceOf ? traceOf(i) : opts_.trace);
+        auto tracer = makeTracer(opts_.trace);
         results[i] = cell(i, tracer);
         traceCells_[i] = {labels[i], std::move(tracer)};
-        recordCell(i, labels[i], sinceSeconds(c0),
-                   results[i].eventsFired);
+        perf_.perCell[i] = {labels[i], sinceSeconds(c0),
+                            results[i].eventsFired};
     });
-    perfWall_ = sinceSeconds(t0);
+    perf_.wallSeconds = sinceSeconds(t0);
+    for (const SweepPerf::CellPerf &c : perf_.perCell)
+        perf_.eventsFired += c.eventsFired;
     return results;
-}
-
-void
-SweepRunner::recordCell(std::size_t i, std::string label,
-                        double wallSeconds, std::uint64_t events)
-{
-    SweepPerf::CellPerf &cp = perfPerCell_[i];
-    cp.label = std::move(label);
-    cp.wallSeconds = wallSeconds;
-    cp.eventsFired = events;
-    perfEvents_.fetch_add(events, std::memory_order_relaxed);
 }
 
 unsigned
@@ -632,8 +615,8 @@ SweepRunner::runLoadSweep(const std::vector<LoadRunSpec> &specs,
         labels, [&](std::size_t i, const auto &tracer) {
             return runLoadCell(specs[i], warm.images[i].get(), tracer);
         });
-    perfWarmWall_ = warm.seconds;
-    perfWarmImages_ = warm.built;
+    perf_.warmupSeconds = warm.seconds;
+    perf_.warmupImages = warm.built;
     return results;
 }
 
@@ -832,23 +815,17 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
         cellImages[i].assign(warm.images.begin() + at,
                              warm.images.begin() + at + specs[i].devices);
 
-    // Phase 2: the fleet cells, forking from the shared images. A
-    // cell-level trace config overrides the sweep-wide one.
+    // Phase 2: the fleet cells, forking from the shared images.
     std::vector<std::string> labels;
     labels.reserve(n);
     for (const ClusterRunSpec &spec : specs)
         labels.push_back(clusterCellLabel(spec));
     auto results = sweepCells<cluster::ClusterSnapshot>(
-        labels,
-        [&](std::size_t i, const auto &tracer) {
+        labels, [&](std::size_t i, const auto &tracer) {
             return runClusterCell(specs[i], cellImages[i], tracer);
-        },
-        [&](std::size_t i) -> const trace::TraceConfig & {
-            return specs[i].trace.enabled() ? specs[i].trace
-                                            : opts_.trace;
         });
-    perfWarmWall_ = warm.seconds;
-    perfWarmImages_ = warm.built;
+    perf_.warmupSeconds = warm.seconds;
+    perf_.warmupImages = warm.built;
     return results;
 }
 
@@ -872,8 +849,8 @@ SweepRunner::run(std::vector<RunSpec> specs)
             return runOneCell(specs[i], tracer);
         });
     const unsigned threads = workerCount(specs.size());
-    return SweepResult(std::move(specs), std::move(results), perfWall_,
-                       threads);
+    return SweepResult(std::move(specs), std::move(results),
+                       perf_.wallSeconds, threads);
 }
 
 } // namespace conduit::runner

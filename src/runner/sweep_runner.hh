@@ -18,8 +18,6 @@
 #ifndef CONDUIT_RUNNER_SWEEP_RUNNER_HH
 #define CONDUIT_RUNNER_SWEEP_RUNNER_HH
 
-#include <atomic>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,7 +162,7 @@ class SweepRunner
     /**
      * Build the warm DeviceImage of @p spec: a fresh device carried
      * through spec.warmupJobs jobs of warm traffic (the same arrival
-     * process the cell uses, under spec.warmupTechnique) and
+     * process the cell uses, always under Conduit) and
      * snapshotted at quiescence. Cells whose warm-phase inputs are
      * equal produce byte-identical images, so one image can serve
      * every such cell read-only (Device::fromImage deep-copies).
@@ -222,7 +220,7 @@ class SweepRunner
      * runCluster). Read it after the sweep returns — not
      * concurrently.
      */
-    SweepPerf lastPerf() const;
+    const SweepPerf &lastPerf() const { return perf_; }
 
     /**
      * Per-cell traces of the most recent sweep call, in spec order
@@ -308,38 +306,22 @@ class SweepRunner
             &images,
         const std::shared_ptr<trace::Tracer> &tracer);
 
-    /** Per-cell trace config of a sweep (null: SweepOptions::trace). */
-    using TraceOf =
-        std::function<const trace::TraceConfig &(std::size_t)>;
-
     /**
      * The one sweep loop: cell(i, tracer) for every cell across the
-     * worker pool, each with its own tracer (from @p traceOf), wall
-     * timing and lastPerf()/lastTraces() slot under labels[i].
-     * Results in label order; the cell's eventsFired feeds the perf
-     * tally.
+     * worker pool, each with its own tracer (SweepOptions::trace),
+     * wall timing and lastPerf()/lastTraces() slot under labels[i].
+     * Results in label order; the cells' eventsFired sum into the
+     * sweep total once the pool joins.
      */
     template <typename Result, typename Cell>
     std::vector<Result>
-    sweepCells(const std::vector<std::string> &labels, const Cell &cell,
-               const TraceOf &traceOf = nullptr);
-
-    /**
-     * Record cell @p i's attribution (workers own disjoint slots,
-     * so no synchronization is needed beyond the pool join).
-     */
-    void recordCell(std::size_t i, std::string label,
-                    double wallSeconds, std::uint64_t events);
+    sweepCells(const std::vector<std::string> &labels, const Cell &cell);
 
     SweepOptions opts_;
     ProgramCache cache_;
 
-    double perfWall_ = 0.0;
-    std::size_t perfCells_ = 0;
-    std::atomic<std::uint64_t> perfEvents_{0};
-    std::vector<SweepPerf::CellPerf> perfPerCell_;
-    double perfWarmWall_ = 0.0;
-    std::size_t perfWarmImages_ = 0;
+    /** Self-performance of the last sweep (see lastPerf()). */
+    SweepPerf perf_;
 
     /** Per-cell traces of the last sweep (see lastTraces()). */
     std::vector<trace::TraceCell> traceCells_;

@@ -268,7 +268,7 @@ TEST(Cluster, SweepRowsAreThreadInvariant)
             rows.insert(rows.end(), r.begin(), r.end());
         }
         std::ostringstream os;
-        runner::writeClusterCsv(os, rows);
+        runner::toTable(rows).writeCsv(os);
         return os.str();
     };
 

@@ -368,7 +368,7 @@ agingCsv(SweepRunner &runner, const std::vector<AgingRunSpec> &cells)
     for (std::size_t i = 0; i < cells.size(); ++i)
         rows.push_back(runner::makeAgingRow(cells[i], snaps[i]));
     std::ostringstream os;
-    runner::writeAgingCsv(os, rows);
+    runner::toTable(rows).writeCsv(os);
     return os.str();
 }
 
@@ -402,7 +402,7 @@ loadCsv(SweepRunner &runner, const std::vector<LoadRunSpec> &cells)
     for (std::size_t i = 0; i < cells.size(); ++i)
         rows.push_back(runner::makeLoadRow(cells[i], snaps[i]));
     std::ostringstream os;
-    runner::writeLoadCsv(os, rows);
+    runner::toTable(rows).writeCsv(os);
     return os.str();
 }
 

@@ -94,10 +94,10 @@ TEST(SweepRunner, CsvRowsAreByteIdenticalAcrossThreadCounts)
     SweepRunner parallel(SweepOptions{4});
 
     std::ostringstream csv1, csvN, json1, jsonN;
-    serial.run(smallMatrix().build()).writeCsv(csv1);
-    parallel.run(smallMatrix().build()).writeCsv(csvN);
-    serial.run(smallMatrix().build()).writeJson(json1);
-    parallel.run(smallMatrix().build()).writeJson(jsonN);
+    runner::toTable(serial.run(smallMatrix().build())).writeCsv(csv1);
+    runner::toTable(parallel.run(smallMatrix().build())).writeCsv(csvN);
+    runner::toTable(serial.run(smallMatrix().build())).writeJson(json1);
+    runner::toTable(parallel.run(smallMatrix().build())).writeJson(jsonN);
 
     EXPECT_EQ(csv1.str(), csvN.str());
     EXPECT_EQ(json1.str(), jsonN.str());
@@ -305,6 +305,46 @@ TEST(SweepResult, LookupAndLabels)
     EXPECT_EQ(sweep.find("AES", "nope"), nullptr);
     EXPECT_THROW(sweep.at("AES", "nope"), std::out_of_range);
     EXPECT_GT(sweep.at("AES", "CPU").execTime, 0u);
+}
+
+/** CSV header names and JSON object keys of @p table's first row. */
+std::pair<std::vector<std::string>, std::vector<std::string>>
+headerAndKeys(const runner::RowTable &table)
+{
+    std::ostringstream csv, json;
+    table.writeCsv(csv);
+    table.writeJson(json);
+    std::vector<std::string> header =
+        runner::splitCsv(csv.str().substr(0, csv.str().find('\n')));
+    std::vector<std::string> keys;
+    const std::string obj = json.str().substr(0, json.str().find('}'));
+    // Keys are the only quoted strings followed by ": ".
+    for (std::size_t at = obj.find("\": "); at != std::string::npos;
+         at = obj.find("\": ", at + 1)) {
+        const std::size_t open = obj.rfind('"', at - 1);
+        keys.push_back(obj.substr(open + 1, at - open - 1));
+    }
+    return {header, keys};
+}
+
+TEST(RowTable, JsonKeysEqualCsvHeaderForEveryRowShape)
+{
+    const SweepResult sweep(
+        {RunSpec{"AES", "Conduit"}}, {RunResult{}}, 0.0, 1);
+    runner::AgingRow aging;
+    aging.load.workload = "AES";
+    const std::vector<runner::RowTable> tables = {
+        runner::toTable(sweep),
+        runner::toTable(std::vector<runner::LoadRow>{aging.load}),
+        runner::toTable(std::vector<runner::AgingRow>{aging}),
+        runner::toTable(
+            std::vector<runner::ClusterRow>{runner::ClusterRow{}}),
+    };
+    for (const runner::RowTable &table : tables) {
+        const auto [header, keys] = headerAndKeys(table);
+        EXPECT_GT(header.size(), 2u);
+        EXPECT_EQ(header, keys);
+    }
 }
 
 // ----------------------------------------------------------------

@@ -61,9 +61,10 @@ tracedOptions(unsigned threads)
 std::string
 resultBytes(const SweepResult &sweep)
 {
+    const runner::RowTable table = runner::toTable(sweep);
     std::ostringstream csv, json;
-    sweep.writeCsv(csv);
-    sweep.writeJson(json);
+    table.writeCsv(csv);
+    table.writeJson(json);
     return csv.str() + "" + json.str();
 }
 
