@@ -139,8 +139,8 @@ main(int argc, char **argv)
             for (const std::string &entry : splitCsv(value()))
                 mixes.push_back(parseMix(entry));
         } else if (flag == "--retention-per-kcycle") {
-            retentionPerKCycle =
-                parsePositive("--retention-per-kcycle", value());
+            retentionPerKCycle = parsePositive(
+                "--retention-per-kcycle", value(), /*allow_zero=*/true);
         } else if (flag == "--slo-mult") {
             sloMult = parsePositive("--slo-mult", value());
         } else if (flag == "--wear-level") {

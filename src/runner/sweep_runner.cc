@@ -323,8 +323,6 @@ SweepRunner::sweepCells(const std::vector<std::string> &labels,
                             results[i].eventsFired};
     });
     perf_.wallSeconds = sinceSeconds(t0);
-    for (const SweepPerf::CellPerf &c : perf_.perCell)
-        perf_.eventsFired += c.eventsFired;
     return results;
 }
 

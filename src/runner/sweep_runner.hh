@@ -52,19 +52,21 @@ struct SweepOptions
 };
 
 /**
- * Wall-clock self-performance of one sweep call (bench_selfperf's
- * raw material): how long the sweep took, how many cells it ran, and
- * how many simulated events the engine cells fired. Events come from
- * the event kernel only — host-baseline cells contribute cells but
- * no events.
+ * Wall-clock attribution of one sweep call: how long the sweep took,
+ * how many cells it ran, and each cell's wall time and simulated
+ * event count. SweepCli::finish prints the cell count and wall time
+ * (plus the warm-phase cost) on stderr and writes the per-cell rows
+ * to --cell-perf. The simulator's measured speed is perfbench's job
+ * (BENCHMARK.json); this is the per-run breakdown a user reads
+ * beside their own sweep.
  */
 struct SweepPerf
 {
     /**
      * Per-cell attribution: how long one cell took on its worker
-     * and how many simulated events it fired, so a kernel
-     * regression localizes to a workload instead of hiding in the
-     * sweep total. Host-baseline cells report zero events.
+     * and how many simulated events it fired, so a slow sweep
+     * localizes to a workload instead of hiding in the sweep total.
+     * Host-baseline cells report zero events.
      */
     struct CellPerf
     {
@@ -83,7 +85,6 @@ struct SweepPerf
 
     double wallSeconds = 0.0;
     std::size_t cells = 0;
-    std::uint64_t eventsFired = 0;
     /** One entry per cell, in spec order. */
     std::vector<CellPerf> perCell;
 
@@ -96,14 +97,6 @@ struct SweepPerf
      */
     double warmupSeconds = 0.0;
     std::size_t warmupImages = 0;
-
-    double
-    eventsPerSec() const
-    {
-        return wallSeconds > 0.0
-            ? static_cast<double>(eventsFired) / wallSeconds
-            : 0.0;
-    }
 };
 
 /** Executes sweep matrices in parallel. */
@@ -214,7 +207,7 @@ class SweepRunner
     ProgramCache &cache() { return cache_; }
 
     /**
-     * Self-performance of the most recent sweep call (run(),
+     * Wall-clock attribution of the most recent sweep call (run(),
      * runMultiAll(), runLoadAll(), runAgingAll(), runClusterAll();
      * not updated by the single-cell entry points except
      * runCluster). Read it after the sweep returns — not
@@ -310,8 +303,7 @@ class SweepRunner
      * The one sweep loop: cell(i, tracer) for every cell across the
      * worker pool, each with its own tracer (SweepOptions::trace),
      * wall timing and lastPerf()/lastTraces() slot under labels[i].
-     * Results in label order; the cells' eventsFired sum into the
-     * sweep total once the pool joins.
+     * Results in label order.
      */
     template <typename Result, typename Cell>
     std::vector<Result>
@@ -320,7 +312,7 @@ class SweepRunner
     SweepOptions opts_;
     ProgramCache cache_;
 
-    /** Self-performance of the last sweep (see lastPerf()). */
+    /** Wall-clock attribution of the last sweep (see lastPerf()). */
     SweepPerf perf_;
 
     /** Per-cell traces of the last sweep (see lastTraces()). */

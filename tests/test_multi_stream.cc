@@ -220,6 +220,50 @@ TEST(MultiStream, MissingProgramOrPolicyRejected)
                  std::invalid_argument);
 }
 
+/**
+ * Eight paper-workload tenants (AES, XOR Filter, jacobi-1d, LlaMA2,
+ * twice) co-run under Conduit on the default sweep device: the
+ * widest multi-tenant cell in the tree, pinned to exact simulated
+ * ticks. No bench CLI builds it, so a drift in the shared-calendar
+ * contention model shows here first.
+ */
+TEST(MultiStream, EightPaperTenantsPinnedTicks)
+{
+    runner::MultiRunSpec cell;
+    cell.label = "multi-tenant-8";
+    const WorkloadId tenants[] = {WorkloadId::Aes, WorkloadId::XorFilter,
+                                  WorkloadId::Jacobi1d,
+                                  WorkloadId::LlamaInference};
+    for (int copy = 0; copy < 2; ++copy) {
+        for (WorkloadId id : tenants) {
+            runner::StreamSlot s;
+            s.workloadId = id;
+            s.workload = workloadName(id);
+            s.technique = "Conduit";
+            cell.streams.push_back(std::move(s));
+        }
+    }
+    runner::SweepRunner runner;
+    const DeviceSnapshot snap = runner.runMulti(cell);
+
+    const std::vector<std::pair<std::string, Tick>> want = {
+        {"AES", 173827635224},
+        {"XOR Filter", 174116403788},
+        {"jacobi-1d", 174236724023},
+        {"LlaMA2 Inference", 174436404413},
+        {"AES", 174846517214},
+        {"XOR Filter", 175100469710},
+        {"jacobi-1d", 175189557884},
+        {"LlaMA2 Inference", 175389238274},
+    };
+    EXPECT_EQ(snap.makespan, Tick{175389238274});
+    ASSERT_EQ(snap.jobs.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(job(snap, i).workload, want[i].first) << "stream " << i;
+        EXPECT_EQ(job(snap, i).execTime, want[i].second) << "stream " << i;
+    }
+}
+
 TEST(MultiStream, FacadeTenantsRunDeterministically)
 {
     SimOptions opts;
