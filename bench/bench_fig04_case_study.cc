@@ -58,11 +58,7 @@ main(int argc, char **argv)
 
     // Compile the three case-study kernels once, up front, and hang
     // them on the matrix as custom-program rows.
-    const SsdConfig cfg = runner::defaultSweepConfig();
-    VectorizeOptions vo;
-    vo.vectorLanes = cfg.vectorLanes;
-    vo.pageBytes = cfg.nand.pageBytes;
-    const Vectorizer vec(vo);
+    const Vectorizer vec(vectorizeOptions(runner::defaultSweepConfig()));
 
     WorkloadParams params;
     params.scale = cli.scale;

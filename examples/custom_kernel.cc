@@ -8,17 +8,21 @@
  * let the compile-time stage auto-vectorize it, and run it on the
  * simulated SSD.
  *
- *   ./build/examples/example_custom_kernel
+ *   ./build/example_custom_kernel
  */
 
 #include <cstdio>
+#include <memory>
 
-#include "src/core/simulation.hh"
+#include "src/core/transformer.hh"
+#include "src/runner/sweep_runner.hh"
+#include "src/vectorizer/vectorizer.hh"
 
 int
 main()
 {
     using namespace conduit;
+    using namespace conduit::runner;
 
     // --- 1. Write the application as ordinary loops. ---------------
     LoopProgram app;
@@ -54,24 +58,25 @@ main()
     app.loops.push_back(fold);
 
     // --- 2. Compile-time preprocessing (the "LLVM pass"). ----------
-    Simulation sim;
-    const VectorizedProgram vp = sim.compileProgram(app);
+    // The vectorizer takes its geometry from the device the program
+    // will run on.
+    const SsdConfig cfg = defaultSweepConfig();
+    const auto vp = std::make_shared<const VectorizedProgram>(
+        Vectorizer(vectorizeOptions(cfg)).run(app));
     std::printf("compiled %s: %zu instructions (%llu scalar), "
                 "footprint %.1f MiB\n",
-                vp.program.name.c_str(), vp.program.instrs.size(),
+                vp->program.name.c_str(), vp->program.instrs.size(),
                 static_cast<unsigned long long>(
-                    vp.report.scalarInstrs),
-                static_cast<double>(vp.program.footprintBytes()) /
+                    vp->report.scalarInstrs),
+                static_cast<double>(vp->program.footprintBytes()) /
                     (1024.0 * 1024.0));
-    for (const auto &r : vp.report.remarks)
+    for (const auto &r : vp->report.remarks)
         std::printf("  %s\n", r.c_str());
 
     // --- 3. Inspect the instruction transformation (§4.3.2). -------
-    InstructionTransformer tx(
-        sim.options().config.nand.pageBytes,
-        sim.options().config.dram.rowBytes,
-        sim.options().config.isp.simdBytes);
-    const VecInstruction &first = vp.program.instrs.front();
+    InstructionTransformer tx(cfg.nand.pageBytes, cfg.dram.rowBytes,
+                              cfg.isp.simdBytes);
+    const VecInstruction &first = vp->program.instrs.front();
     std::printf("\nfirst instruction %s lowers to:\n",
                 first.toString().c_str());
     for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
@@ -83,16 +88,18 @@ main()
     }
 
     // --- 4. Run it under the runtime offloader. ---------------------
+    // One sweep: the host CPU baseline, then each policy on a fresh
+    // simulated SSD.
+    RunMatrix matrix;
+    matrix.program(app.name,
+                   std::shared_ptr<const Program>(vp, &vp->program))
+        .techniques({"CPU", "DM-Offloading", "Conduit"});
+    const SweepResult sweep = SweepRunner().run(matrix.build());
     std::printf("\n%-16s %12s %12s\n", "engine", "time (ms)",
                 "energy (mJ)");
-    const RunResult cpu = sim.runHostProgram(vp.program, false);
-    std::printf("%-16s %12.3f %12.3f\n", "CPU",
-                ticksToSeconds(cpu.execTime) * 1e3,
-                cpu.energyJ() * 1e3);
-    for (const char *p : {"DM-Offloading", "Conduit"}) {
-        auto policy = makePolicy(p);
-        const RunResult r = sim.runProgram(vp.program, *policy);
-        std::printf("%-16s %12.3f %12.3f\n", p,
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const RunResult &r = sweep.result(i);
+        std::printf("%-16s %12.3f %12.3f\n", r.policy.c_str(),
                     ticksToSeconds(r.execTime) * 1e3,
                     r.energyJ() * 1e3);
     }

@@ -2,41 +2,51 @@
  * @file
  * Walkthrough: co-running two tenants on one simulated SSD.
  *
- * The facade's runMulti() submits N (workload, policy) tenants as
- * simultaneous jobs on one fresh Device and returns its drained
- * DeviceSnapshot (one job per tenant, in tenant order, plus the
- * device aggregate). Every stream keeps its own program counter,
- * completion vector and result attribution (an ExecContext), while
- * the StreamScheduler interleaves their dispatch pipelines on one
- * event queue. Contention is not configured anywhere — it emerges
- * because both streams reserve the same offloader, flash-die, DRAM-
- * bank and controller-core calendars, and every policy sees the
- * other tenant's backlog through the live queue/bandwidth features.
+ * SweepRunner::runMulti() submits a MultiRunSpec's (workload,
+ * policy) streams as simultaneous jobs on one fresh Device and
+ * returns its drained DeviceSnapshot (one job per stream, in stream
+ * order, plus the device aggregate). Every stream keeps its own
+ * program counter, completion vector and result attribution (an
+ * ExecContext), while the StreamScheduler interleaves their dispatch
+ * pipelines on one event queue. Contention is not configured
+ * anywhere — it emerges because both streams reserve the same
+ * offloader, flash-die, DRAM-bank and controller-core calendars, and
+ * every policy sees the other tenant's backlog through the live
+ * queue/bandwidth features.
  */
 
 #include <cstdio>
 
-#include "src/core/simulation.hh"
+#include "src/runner/sweep_runner.hh"
 
 int
 main()
 {
     using namespace conduit;
+    using namespace conduit::runner;
 
-    Simulation sim;
+    SweepRunner sweeprunner;
 
     // First, the single-tenant world the paper evaluates: each
-    // workload alone on the device.
-    const RunResult llamaAlone =
-        sim.run(WorkloadId::LlamaInference, "Conduit");
-    const RunResult jacobiAlone =
-        sim.run(WorkloadId::Jacobi1d, "Conduit");
+    // workload alone on a fresh device.
+    RunMatrix matrix;
+    matrix.workloads({WorkloadId::LlamaInference, WorkloadId::Jacobi1d})
+        .technique("Conduit");
+    const SweepResult alone = sweeprunner.run(matrix.build());
+    const RunResult &llamaAlone = alone.result(0);
+    const RunResult &jacobiAlone = alone.result(1);
 
     // Now the same two workloads as co-located tenants of one SSD.
-    const DeviceSnapshot co = sim.runMulti({
-        {WorkloadId::LlamaInference, "Conduit"},
-        {WorkloadId::Jacobi1d, "Conduit"},
-    });
+    MultiRunSpec cell;
+    cell.label = "LlaMA2+jacobi-1d";
+    for (WorkloadId id :
+         {WorkloadId::LlamaInference, WorkloadId::Jacobi1d}) {
+        StreamSlot stream;
+        stream.workloadId = id;
+        stream.technique = "Conduit";
+        cell.streams.push_back(stream);
+    }
+    const DeviceSnapshot co = sweeprunner.runMulti(cell);
 
     std::printf("two tenants, one SSD (Conduit policy)\n\n");
     std::printf("%-20s %14s %14s %10s %12s\n", "stream", "alone (ms)",

@@ -2,8 +2,8 @@
  * @file
  * Walkthrough: open-loop arrivals on a persistent simulated SSD.
  *
- * The batch facade answers "what if N programs start together on a
- * cold device?". A deployed SSD instead serves a *stream* of jobs
+ * A sweep-runner cell answers "what if N programs start together on
+ * a cold device?". A deployed SSD instead serves a *stream* of jobs
  * arriving over time. This example drives the job-based Device API
  * directly: one device lives across every submission, jobs arrive at
  * pseudo-Poisson ticks generated by a deterministic ArrivalProcess,

@@ -3,7 +3,7 @@
  * The persistent simulated SSD with dynamic job submission — the only
  * caller of the runtime engine's session API. Every program the
  * simulator executes runs as a job on a Device: the sweep runner's
- * cells, the Simulation facade, the fleet layer.
+ * cells, the fleet layer, and jobs submitted by hand.
  *
  * A production SSD serves a *stream* of arriving requests: jobs show
  * up over time, occupy logical-page regions while they run, and
@@ -33,8 +33,8 @@
  * are laid out in submission order, share the device from tick 0 and
  * retire in submission order at quiescence — the "N programs start
  * together on a cold SSD" cell of the paper's methodology. The
- * facade's run/runMulti and the sweep runner's fresh single-stream
- * and multi-tenant cells are that case.
+ * sweep runner's fresh single-stream and multi-tenant cells are that
+ * case.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -99,8 +99,8 @@ enum class RetirePolicy
 {
     /**
      * At device quiescence, in submission order — the batch
-     * semantics of the facade's run/runMulti and of the sweep
-     * runner's single-stream and multi-tenant cells.
+     * semantics of the sweep runner's single-stream and multi-tenant
+     * cells.
      */
     OnQuiesce,
 
@@ -148,8 +148,8 @@ struct DeviceOptions
 
 /**
  * DeviceOptions carrying a run's device-wide knobs — the one place
- * the facade and the sweep runner's device paths build their options
- * from (config, engine, workload) triples.
+ * the sweep runner's device paths build their options from (config,
+ * engine, workload) triples.
  */
 inline DeviceOptions
 makeDeviceOptions(const SsdConfig &config, const EngineOptions &engine,

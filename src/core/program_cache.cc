@@ -29,10 +29,7 @@ ProgramCache::get(WorkloadId id, const WorkloadParams &params,
         // Compile outside the lock; racers on the same key block on
         // the shared future instead of recompiling.
         try {
-            VectorizeOptions vo;
-            vo.vectorLanes = cfg.vectorLanes;
-            vo.pageBytes = cfg.nand.pageBytes;
-            const Vectorizer vectorizer(vo);
+            const Vectorizer vectorizer(vectorizeOptions(cfg));
             promise.set_value(
                 std::make_shared<const VectorizedProgram>(
                     vectorizer.run(buildWorkload(id, params))));

@@ -1,7 +1,6 @@
 #include "src/ftl/ftl.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "src/reliability/reliability.hh"
@@ -310,15 +309,34 @@ Ftl::collectBlock(std::uint64_t victim, Tick now, bool scrub)
 }
 
 bool
+Ftl::collectable(std::uint64_t bi) const
+{
+    const BlockState &b = blocks_[bi];
+    return !b.free && !b.bad && !b.collecting &&
+        b.writePtr >= cfg_.nand.pagesPerBlock && !isOpenBlock(bi);
+}
+
+std::uint64_t
+Ftl::greedyVictim(std::uint64_t first, std::uint64_t last) const
+{
+    const std::uint32_t pages = cfg_.nand.pagesPerBlock;
+    std::uint64_t victim = ~0ULL;
+    for (std::uint64_t bi = first; bi < last; ++bi) {
+        if (!collectable(bi) || blocks_[bi].validCount >= pages)
+            continue; // not eligible, or nothing reclaimable
+        if (victim == ~0ULL ||
+            blocks_[bi].validCount < blocks_[victim].validCount)
+            victim = bi;
+    }
+    return victim;
+}
+
+bool
 Ftl::scrubBlock(std::uint64_t block, Tick now)
 {
-    const NandConfig &n = cfg_.nand;
-    const BlockState &b = blocks_.at(block);
-    // Only full, closed blocks are refreshable: a plane's active
-    // write target (even when full, it stays the slot's open block
-    // until the next allocation) cannot be erased under it.
-    if (b.free || b.bad || b.collecting ||
-        b.writePtr < n.pagesPerBlock || isOpenBlock(block))
+    if (block >= blocks_.size())
+        throw std::out_of_range("Ftl::scrubBlock: block out of range");
+    if (!collectable(block))
         return false;
     return collectBlock(block, now, /*scrub=*/true);
 }
@@ -326,7 +344,6 @@ Ftl::scrubBlock(std::uint64_t block, Tick now)
 std::int64_t
 Ftl::wearLevelCandidate(std::uint32_t gap) const
 {
-    const NandConfig &n = cfg_.nand;
     std::uint64_t coldest = ~0ULL;
     std::uint32_t maxErase = 0;
     for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
@@ -334,10 +351,9 @@ Ftl::wearLevelCandidate(std::uint32_t gap) const
         if (bs.bad)
             continue;
         maxErase = std::max(maxErase, bs.eraseCount);
-        // Eligibility mirrors scrubBlock: only a full, closed,
-        // non-collecting block can be refreshed under itself.
-        if (bs.free || bs.collecting ||
-            bs.writePtr < n.pagesPerBlock || isOpenBlock(b))
+        // Eligibility is scrubBlock's: only a collectable block can
+        // be refreshed under itself.
+        if (!collectable(b))
             continue;
         if (coldest == ~0ULL ||
             bs.eraseCount < blocks_[coldest].eraseCount)
@@ -352,23 +368,10 @@ Ftl::wearLevelCandidate(std::uint32_t gap) const
 bool
 Ftl::collectPlane(std::uint64_t plane_slot, Tick now)
 {
-    // Reclaim the cheapest full, closed victim on this plane. Open
-    // blocks (incl. the plane's current write target) are skipped.
-    const NandConfig &n = cfg_.nand;
-    const std::uint64_t base = plane_slot * n.blocksPerPlane;
-    std::uint64_t victim = ~0ULL;
-    for (std::uint64_t b = base; b < base + n.blocksPerPlane; ++b) {
-        const BlockState &bs = blocks_[b];
-        if (bs.free || bs.collecting ||
-            bs.writePtr < n.pagesPerBlock || isOpenBlock(b))
-            continue;
-        if (bs.validCount >= n.pagesPerBlock)
-            continue; // nothing reclaimable
-        if (victim == ~0ULL ||
-            bs.validCount < blocks_[victim].validCount) {
-            victim = b;
-        }
-    }
+    // Reclaim the cheapest victim on this plane.
+    const std::uint64_t base = plane_slot * cfg_.nand.blocksPerPlane;
+    const std::uint64_t victim =
+        greedyVictim(base, base + cfg_.nand.blocksPerPlane);
     if (victim == ~0ULL)
         return false;
     return collectBlock(victim, now);
@@ -378,7 +381,6 @@ void
 Ftl::maybeGc(Tick now)
 {
     lastGcTick_ = now;
-    const NandConfig &n = cfg_.nand;
     // Reclaim until the free pool recovers or no victim remains.
     for (int iter = 0; iter < 8; ++iter) {
         const double free_fraction =
@@ -387,21 +389,7 @@ Ftl::maybeGc(Tick now)
         if (free_fraction >= cfg_.gcThreshold)
             return;
 
-        // Greedy victim selection: the full block with the fewest
-        // valid pages costs the least migration work.
-        std::uint64_t victim = ~0ULL;
-        for (std::uint64_t bi = 0; bi < blocks_.size(); ++bi) {
-            const BlockState &b = blocks_[bi];
-            if (b.free || b.collecting ||
-                b.writePtr < n.pagesPerBlock || isOpenBlock(bi))
-                continue; // only full, closed blocks
-            if (b.validCount >= n.pagesPerBlock)
-                continue;
-            if (victim == ~0ULL ||
-                b.validCount < blocks_[victim].validCount) {
-                victim = bi;
-            }
-        }
+        const std::uint64_t victim = greedyVictim(0, blocks_.size());
         if (victim == ~0ULL)
             return;
         collectBlock(victim, now);

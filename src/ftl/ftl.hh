@@ -192,6 +192,14 @@ class Ftl
     /** Is @p bi some plane slot's current write target? */
     bool isOpenBlock(std::uint64_t bi) const;
 
+    /** GC/scrub eligibility: full, closed, not retired or collecting. */
+    bool collectable(std::uint64_t bi) const;
+
+    /** The collectable block in [first, last) with the fewest (but
+     *  not all) valid pages, lowest index on ties; ~0 when none. */
+    std::uint64_t greedyVictim(std::uint64_t first,
+                               std::uint64_t last) const;
+
     /** Pick the next open block slot in CWDP-striped order. */
     Ppn allocatePage(Tick now);
 

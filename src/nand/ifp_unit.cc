@@ -1,7 +1,6 @@
 #include "src/nand/ifp_unit.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace conduit

@@ -1,6 +1,5 @@
 #include "src/nand/nand.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "src/reliability/reliability.hh"

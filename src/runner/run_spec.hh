@@ -5,8 +5,8 @@
  * A RunSpec names one (workload, technique, config, engine-options)
  * combination; a RunMatrix crosses workload and technique axes into a
  * vector of specs. The benches express each paper figure's evaluation
- * matrix this way and hand it to SweepRunner instead of hand-rolling
- * nested loops around Simulation::run.
+ * matrix this way and hand it to SweepRunner, which runs each spec
+ * as one job on a fresh core::Device.
  */
 
 #ifndef CONDUIT_RUNNER_RUN_SPEC_HH
@@ -65,8 +65,7 @@ std::string displayName(const std::string &label,
 
 /**
  * The device every sweep runs on unless overridden: the Table 2
- * geometry scaled for seconds-long benches, matching SimOptions'
- * default so runner-driven benches reproduce the facade's numbers.
+ * geometry scaled for seconds-long benches.
  */
 inline SsdConfig
 defaultSweepConfig()

@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/core/simulation.hh"
+#include "src/host/host_model.hh"
 
 namespace conduit::runner
 {
@@ -140,6 +140,27 @@ cellPolicy(const PolicyFactory &factory, const std::string &technique)
         throw std::invalid_argument("policy factory for '" + technique +
                                     "' returned no policy");
     return policy;
+}
+
+/**
+ * Evaluate @p prog on the analytical host baseline (the CPU, or the
+ * GPU when @p gpu) under @p config, in the RunResult shape. The
+ * result is unlabelled: callers set workload and policy.
+ */
+RunResult
+runHostBaseline(const SsdConfig &config, const Program &prog, bool gpu)
+{
+    HostModel model(config, gpu ? HostModel::Kind::Gpu
+                                : HostModel::Kind::Cpu);
+    const HostResult hr = model.run(prog);
+    RunResult r;
+    r.execTime = hr.totalTime;
+    r.instrCount = prog.instrs.size();
+    r.computeBusy = hr.computeTime;
+    r.hostDmBusy = hr.transferTime;
+    r.dmEnergyJ = hr.dmEnergyJ;
+    r.computeEnergyJ = hr.computeEnergyJ;
+    return r;
 }
 
 /** Device options of an offered-load cell. */

@@ -330,9 +330,6 @@ struct SsdConfig
      */
     std::uint32_t vectorLanes = 16384;
 
-    /** Fraction of DRAM rows reserved for PuD operand staging. */
-    double dramComputeFraction = 0.5;
-
     /** DFTL mapping-cache coverage (fraction of L2P entries cached). */
     double mappingCacheCoverage = 0.25;
 

@@ -1,7 +1,6 @@
 #include "src/vectorizer/vectorizer.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <unordered_set>
 

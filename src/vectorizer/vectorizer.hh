@@ -32,6 +32,7 @@
 
 #include "src/ir/instruction.hh"
 #include "src/ir/loop_ir.hh"
+#include "src/sim/config.hh"
 
 namespace conduit
 {
@@ -51,6 +52,16 @@ struct VectorizeOptions
     /** Cap on recorded producer dependences per instruction. */
     std::uint32_t maxDeps = 12;
 };
+
+/** The vectorizer geometry of a device: SIMD width and page size. */
+inline VectorizeOptions
+vectorizeOptions(const SsdConfig &cfg)
+{
+    VectorizeOptions vo;
+    vo.vectorLanes = cfg.vectorLanes;
+    vo.pageBytes = cfg.nand.pageBytes;
+    return vo;
+}
 
 /** Vectorization summary (drives Table 3 and the -Rpass remarks). */
 struct VectorizationReport

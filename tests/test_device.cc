@@ -99,8 +99,8 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     }
     const DeviceSnapshot snap = dev.drain();
 
-    // The runner's multi-tenant cell (and the facade's runMulti) is
-    // the same submissions on a fresh device.
+    // The runner's multi-tenant cell is the same submissions on a
+    // fresh device.
     runner::SweepRunner runner;
     const DeviceSnapshot multi = runner.runMulti(cell);
 

@@ -3,13 +3,12 @@
  * Tests for event-driven multi-stream execution (streams as tick-0
  * jobs on one Device, via the runner's runMulti cell): determinism
  * of co-run streams across repeat executions, cross-tenant contention
- * visibility, aggregate accounting, input validation, and the
- * Simulation facade's tenant API.
+ * visibility, aggregate accounting, input validation, and named-
+ * workload tenants.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_runner.hh"
 #include "tests/solo_run.hh"
 
@@ -213,11 +212,10 @@ TEST(MultiStream, MissingProgramOrPolicyRejected)
     EXPECT_THROW(coRun({slot(chainProgram("h", 2), "CPU")}),
                  std::invalid_argument);
 
-    // The facade's tenant entry point rejects the same inputs.
-    Simulation sim;
-    EXPECT_THROW(sim.runMulti({}), std::invalid_argument);
-    EXPECT_THROW(sim.runMulti({{WorkloadId::Aes, ""}}),
-                 std::invalid_argument);
+    // A named-workload tenant without a policy is rejected too.
+    runner::StreamSlot named;
+    named.workloadId = WorkloadId::Aes;
+    EXPECT_THROW(coRun({named}), std::invalid_argument);
 }
 
 /**
@@ -264,17 +262,24 @@ TEST(MultiStream, EightPaperTenantsPinnedTicks)
     }
 }
 
-TEST(MultiStream, FacadeTenantsRunDeterministically)
+TEST(MultiStream, WorkloadTenantsRunDeterministically)
 {
-    SimOptions opts;
-    opts.workload.scale = 1.0 / 64.0;
-    const std::vector<Simulation::Tenant> tenants = {
-        {WorkloadId::Aes, "Conduit"},
-        {WorkloadId::Jacobi1d, "DM-Offloading"},
-    };
-    Simulation sim1(opts), sim2(opts);
-    auto m1 = sim1.runMulti(tenants);
-    auto m2 = sim2.runMulti(tenants);
+    // Named-workload tenants on the default sweep device, each run
+    // by its own runner (own compile cache).
+    runner::MultiRunSpec cell;
+    cell.label = "AES+jacobi-1d";
+    cell.params.scale = 1.0 / 64.0;
+    for (const auto &[id, technique] :
+         {std::pair{WorkloadId::Aes, "Conduit"},
+          std::pair{WorkloadId::Jacobi1d, "DM-Offloading"}}) {
+        runner::StreamSlot s;
+        s.workloadId = id;
+        s.technique = technique;
+        cell.streams.push_back(std::move(s));
+    }
+    runner::SweepRunner runner1, runner2;
+    auto m1 = runner1.runMulti(cell);
+    auto m2 = runner2.runMulti(cell);
     ASSERT_EQ(m1.jobs.size(), 2u);
     for (std::size_t i = 0; i < m1.jobs.size(); ++i)
         expectSameResult(job(m1, i), job(m2, i));

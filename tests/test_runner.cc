@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
@@ -115,28 +114,41 @@ TEST(SweepRunner, RepeatedSweepsAreDeterministic)
         expectSameResult(a.result(i), b.result(i));
 }
 
-TEST(SweepRunner, MatchesTheSimulationFacade)
+TEST(SweepRunner, CellEqualsAOneJobDevice)
 {
-    // The runner path and the facade path must agree run-for-run.
-    Simulation sim;
-    const RunResult facade = sim.run(WorkloadId::Aes, "Conduit");
-
+    // A cold-SSD cell is exactly one tick-0 job on a fresh Device
+    // built from the cell's (config, engine, params).
     RunMatrix m;
     m.workload(WorkloadId::Aes).technique("Conduit");
-    const SweepResult sweep = SweepRunner().run(m.build());
-    expectSameResult(facade, sweep.at("AES", "Conduit"));
+    const std::vector<RunSpec> specs = m.build();
+    const SweepResult sweep = SweepRunner().run(specs);
+
+    const RunSpec &spec = specs.front();
+    ProgramCache cache;
+    const auto compiled =
+        cache.get(WorkloadId::Aes, spec.params, spec.config);
+    Device dev(makeDeviceOptions(spec.config, spec.engine, spec.params));
+    JobSpec job;
+    job.program = std::shared_ptr<const Program>(compiled,
+                                                 &compiled->program);
+    job.policyObj = makePolicy("Conduit");
+    const RunResult device = dev.wait(dev.submit(job)).result;
+    expectSameResult(device, sweep.at("AES", "Conduit"));
 }
 
 TEST(SweepRunner, HostKindRunsBaselineUnderCustomLabel)
 {
     RunMatrix m;
-    m.workload(WorkloadId::Aes).hostTechnique("OSP", false);
+    m.workload(WorkloadId::Aes)
+        .technique("CPU")
+        .hostTechnique("OSP", false);
     const SweepResult sweep = SweepRunner().run(m.build());
     // Would throw inside makePolicy("OSP") if the host flag were
     // ignored; instead it must match the CPU baseline's numbers.
-    Simulation sim;
-    const RunResult cpu = sim.runHost(WorkloadId::Aes, false);
-    EXPECT_EQ(sweep.at("AES", "OSP").execTime, cpu.execTime);
+    const RunResult &osp = sweep.at("AES", "OSP");
+    const RunResult &cpu = sweep.at("AES", "CPU");
+    EXPECT_EQ(osp.execTime, cpu.execTime);
+    EXPECT_EQ(osp.energyJ(), cpu.energyJ());
 }
 
 TEST(SweepRunner, SpecWithoutProgramOrWorkloadThrows)

@@ -1,64 +1,106 @@
 /**
  * @file
- * End-to-end tests through the Simulation facade: the headline
- * orderings the paper reports must hold on the simulated system.
+ * End-to-end tests of the simulated system: the headline orderings
+ * the paper reports must hold. Every ordering reads one shared
+ * RunMatrix sweep — each workload under each technique, one cold-SSD
+ * cell apiece — at a reduced dataset scale.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
-#include "src/core/simulation.hh"
+#include "src/runner/sweep_runner.hh"
 
 namespace conduit
 {
 namespace
 {
 
-SimOptions
-fastOptions()
+using runner::RunMatrix;
+using runner::SweepResult;
+using runner::SweepRunner;
+
+WorkloadParams
+fastParams()
 {
-    SimOptions so;
-    so.workload.scale = 0.25;
-    return so;
+    WorkloadParams p;
+    p.scale = 0.25;
+    return p;
+}
+
+/** The SSD techniques of Fig. 7, in the order the tests sweep them. */
+const std::vector<std::string> &
+ssdTechniques()
+{
+    static const std::vector<std::string> names = {
+        "Conduit",      "DM-Offloading", "BW-Offloading", "Ideal",
+        "ISP",          "PuD-SSD",       "Flash-Cosmos",  "Ares-Flash"};
+    return names;
+}
+
+/**
+ * Every workload under the host baselines and every SSD technique,
+ * swept once per test process and shared by the tests below.
+ */
+const SweepResult &
+paperSweep()
+{
+    static const SweepResult sweep = [] {
+        RunMatrix m;
+        m.params(fastParams())
+            .workloads(allWorkloads())
+            .techniques({"CPU", "GPU"})
+            .techniques(ssdTechniques());
+        return SweepRunner().run(m.build());
+    }();
+    return sweep;
+}
+
+const RunResult &
+cell(WorkloadId id, const std::string &technique)
+{
+    return paperSweep().at(workloadName(id), technique);
+}
+
+double
+execTime(WorkloadId id, const std::string &technique)
+{
+    return static_cast<double>(cell(id, technique).execTime);
 }
 
 TEST(Simulation, CompileCachesPrograms)
 {
-    Simulation sim(fastOptions());
-    const auto &a = sim.compile(WorkloadId::Aes);
-    const auto &b = sim.compile(WorkloadId::Aes);
-    EXPECT_EQ(&a, &b);
+    runner::ProgramCache cache;
+    const auto cfg = runner::defaultSweepConfig();
+    const auto a = cache.get(WorkloadId::Aes, fastParams(), cfg);
+    const auto b = cache.get(WorkloadId::Aes, fastParams(), cfg);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(Simulation, EveryPolicyRunsEveryWorkload)
 {
-    Simulation sim(fastOptions());
-    for (WorkloadId id :
-         {WorkloadId::Aes, WorkloadId::Jacobi1d}) {
-        for (const char *pol :
-             {"Conduit", "DM-Offloading", "BW-Offloading", "Ideal",
-              "ISP", "PuD-SSD", "Flash-Cosmos", "Ares-Flash"}) {
-            auto r = sim.run(id, pol);
+    for (WorkloadId id : allWorkloads()) {
+        for (const std::string &pol : ssdTechniques()) {
+            const RunResult &r = cell(id, pol);
             EXPECT_GT(r.execTime, 0u) << pol;
             EXPECT_GT(r.energyJ(), 0.0) << pol;
             EXPECT_EQ(r.policy, pol);
         }
-        auto cpu = sim.runHost(id, false);
-        auto gpu = sim.runHost(id, true);
-        EXPECT_GT(cpu.execTime, 0u);
-        EXPECT_GT(gpu.execTime, 0u);
+        EXPECT_GT(cell(id, "CPU").execTime, 0u);
+        EXPECT_GT(cell(id, "GPU").execTime, 0u);
     }
 }
 
 TEST(Simulation, IdealUpperBoundsAllRealizablePolicies)
 {
-    Simulation sim(fastOptions());
     for (WorkloadId id : allWorkloads()) {
-        const Tick ideal = sim.run(id, "Ideal").execTime;
+        const Tick ideal = cell(id, "Ideal").execTime;
         for (const char *pol :
              {"Conduit", "DM-Offloading", "BW-Offloading", "ISP"}) {
-            EXPECT_LE(ideal, sim.run(id, pol).execTime)
+            EXPECT_LE(ideal, cell(id, pol).execTime)
                 << workloadName(id) << " " << pol;
         }
     }
@@ -66,20 +108,13 @@ TEST(Simulation, IdealUpperBoundsAllRealizablePolicies)
 
 TEST(Simulation, ConduitBeatsPriorOffloadingOnAverage)
 {
-    Simulation sim(fastOptions());
     double log_dm = 0.0, log_bw = 0.0, log_isp = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
-        const double conduit =
-            static_cast<double>(sim.run(id, "Conduit").execTime);
-        log_dm += std::log(
-            static_cast<double>(sim.run(id, "DM-Offloading").execTime) /
-            conduit);
-        log_bw += std::log(
-            static_cast<double>(sim.run(id, "BW-Offloading").execTime) /
-            conduit);
-        log_isp += std::log(
-            static_cast<double>(sim.run(id, "ISP").execTime) / conduit);
+        const double conduit = execTime(id, "Conduit");
+        log_dm += std::log(execTime(id, "DM-Offloading") / conduit);
+        log_bw += std::log(execTime(id, "BW-Offloading") / conduit);
+        log_isp += std::log(execTime(id, "ISP") / conduit);
         ++n;
     }
     // Geometric-mean slowdowns of the baselines vs Conduit (Fig. 7a:
@@ -91,15 +126,10 @@ TEST(Simulation, ConduitBeatsPriorOffloadingOnAverage)
 
 TEST(Simulation, ConduitBeatsHostCpuOnAverage)
 {
-    Simulation sim(fastOptions());
     double acc = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
-        const double cpu =
-            static_cast<double>(sim.runHost(id, false).execTime);
-        const double conduit =
-            static_cast<double>(sim.run(id, "Conduit").execTime);
-        acc += std::log(cpu / conduit);
+        acc += std::log(execTime(id, "CPU") / execTime(id, "Conduit"));
         ++n;
     }
     // Fig. 7a: 4.2x average speedup over CPU; require a clear win.
@@ -108,13 +138,11 @@ TEST(Simulation, ConduitBeatsHostCpuOnAverage)
 
 TEST(Simulation, ConduitReducesEnergyVsHost)
 {
-    Simulation sim(fastOptions());
     double acc = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
-        const double cpu = sim.runHost(id, false).energyJ();
-        const double conduit = sim.run(id, "Conduit").energyJ();
-        acc += std::log(cpu / conduit);
+        acc += std::log(cell(id, "CPU").energyJ() /
+                        cell(id, "Conduit").energyJ());
         ++n;
     }
     // Fig. 7b: 78.2% average energy reduction vs CPU.
@@ -124,9 +152,9 @@ TEST(Simulation, ConduitReducesEnergyVsHost)
 TEST(Simulation, DmOffloadingOverusesIfpOnComputeWork)
 {
     // §6.4: DM-Offloading pins arithmetic to flash; Conduit spreads.
-    Simulation sim(fastOptions());
-    auto dm = sim.run(WorkloadId::LlmTraining, "DM-Offloading");
-    auto conduit = sim.run(WorkloadId::LlmTraining, "Conduit");
+    const RunResult &dm =
+        cell(WorkloadId::LlmTraining, "DM-Offloading");
+    const RunResult &conduit = cell(WorkloadId::LlmTraining, "Conduit");
     const auto ifp = static_cast<int>(Target::Ifp);
     EXPECT_GT(dm.perResource[ifp] * 2,
               dm.instrCount); // DM sends the majority to IFP
@@ -137,22 +165,20 @@ TEST(Simulation, DmOffloadingOverusesIfpOnComputeWork)
 TEST(Simulation, LlamaAvoidsIfpMultiplication)
 {
     // Fig. 9: Conduit and Ideal avoid IFP for LlaMA2's multiplies.
-    Simulation sim(fastOptions());
-    auto conduit = sim.run(WorkloadId::LlamaInference, "Conduit");
-    auto ideal = sim.run(WorkloadId::LlamaInference, "Ideal");
     const auto ifp = static_cast<int>(Target::Ifp);
-    EXPECT_LT(static_cast<double>(conduit.perResource[ifp]),
-              0.10 * static_cast<double>(conduit.instrCount));
-    EXPECT_LT(static_cast<double>(ideal.perResource[ifp]),
-              0.10 * static_cast<double>(ideal.instrCount));
+    for (const char *pol : {"Conduit", "Ideal"}) {
+        const RunResult &r = cell(WorkloadId::LlamaInference, pol);
+        EXPECT_LT(static_cast<double>(r.perResource[ifp]),
+                  0.10 * static_cast<double>(r.instrCount))
+            << pol;
+    }
 }
 
 TEST(Simulation, MemoryBoundWorkloadsBarelyUseIsp)
 {
     // Fig. 9: AES/XOR Filter offload well under a few percent of
     // vector instructions to the controller core.
-    Simulation sim(fastOptions());
-    auto aes = sim.run(WorkloadId::Aes, "Conduit");
+    const RunResult &aes = cell(WorkloadId::Aes, "Conduit");
     const auto isp = static_cast<int>(Target::Isp);
     EXPECT_LT(static_cast<double>(aes.perResource[isp]),
               0.10 * static_cast<double>(aes.instrCount));
@@ -161,9 +187,10 @@ TEST(Simulation, MemoryBoundWorkloadsBarelyUseIsp)
 TEST(Simulation, ConduitTailLatencyBeatsBwOffloading)
 {
     // Fig. 8 shape: contention-aware offloading shortens the tail.
-    Simulation sim(fastOptions());
-    auto conduit = sim.run(WorkloadId::LlamaInference, "Conduit");
-    auto bw = sim.run(WorkloadId::LlamaInference, "BW-Offloading");
+    const RunResult &conduit =
+        cell(WorkloadId::LlamaInference, "Conduit");
+    const RunResult &bw =
+        cell(WorkloadId::LlamaInference, "BW-Offloading");
     EXPECT_LT(conduit.latencyUs.percentile(99),
               bw.latencyUs.percentile(99));
     EXPECT_LT(conduit.latencyUs.percentile(99.99),
@@ -172,11 +199,16 @@ TEST(Simulation, ConduitTailLatencyBeatsBwOffloading)
 
 TEST(Simulation, RunsAreReproducible)
 {
-    Simulation a(fastOptions()), b(fastOptions());
-    auto r1 = a.run(WorkloadId::Heat3d, "Conduit");
-    auto r2 = b.run(WorkloadId::Heat3d, "Conduit");
-    EXPECT_EQ(r1.execTime, r2.execTime);
-    EXPECT_EQ(r1.perResource, r2.perResource);
+    // A second runner, its own compile cache, one cell: the same
+    // numbers as the shared sweep's cell.
+    RunMatrix m;
+    m.params(fastParams())
+        .workload(WorkloadId::Heat3d)
+        .technique("Conduit");
+    const RunResult again = SweepRunner().runOne(m.build().front());
+    const RunResult &first = cell(WorkloadId::Heat3d, "Conduit");
+    EXPECT_EQ(again.execTime, first.execTime);
+    EXPECT_EQ(again.perResource, first.perResource);
 }
 
 TEST(Simulation, CustomPolicyObjectsWork)
@@ -196,11 +228,18 @@ TEST(Simulation, CustomPolicyObjectsWork)
         }
         std::string name() const override { return "my-policy"; }
     };
-    Simulation sim(fastOptions());
-    MyPolicy pol;
-    auto r = sim.run(WorkloadId::Jacobi1d, pol);
+    RunMatrix m;
+    m.params(fastParams())
+        .workload(WorkloadId::Jacobi1d)
+        .technique("my-policy",
+                   [] { return std::make_unique<MyPolicy>(); });
+    const RunResult r = SweepRunner().runOne(m.build().front());
     EXPECT_EQ(r.policy, "my-policy");
     EXPECT_GT(r.execTime, 0u);
+    // The runner labels the row; the placements show the policy
+    // object itself decided: it never picks flash.
+    EXPECT_EQ(r.perResource[static_cast<int>(Target::Ifp)], 0u);
+    EXPECT_GT(r.perResource[static_cast<int>(Target::Pud)], 0u);
 }
 
 } // namespace

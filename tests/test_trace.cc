@@ -22,7 +22,6 @@
 
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 #include "src/trace/export.hh"
 #include "src/trace/trace.hh"
