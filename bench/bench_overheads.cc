@@ -22,6 +22,7 @@
 #include <deque>
 
 #include "bench/common.hh"
+#include "src/core/transformer.hh"
 #include "src/sim/event_queue.hh"
 
 namespace
@@ -52,6 +53,7 @@ BM_CostFunctionEvaluation(benchmark::State &state)
     ConduitPolicy policy;
     JobSpec job;
     job.program = prog;
+    job.policyObj = makePolicy("Conduit");
     dev.submit(job);
     dev.drain(); // populate device state
     std::size_t i = 0;
@@ -87,6 +89,7 @@ BM_EngineRunLlama(benchmark::State &state)
         Device dev(makeDeviceOptions(benchCfg(), {}, {}));
         JobSpec job;
         job.program = prog;
+        job.policyObj = makePolicy("Conduit");
         dev.submit(job);
         benchmark::DoNotOptimize(dev.drain());
     }
@@ -211,7 +214,7 @@ BM_SnapshotFork(benchmark::State &state)
     runner::SweepRunner runner;
     const DeviceImage img = runner.buildWarmImage(warm);
     for (auto _ : state) {
-        Device dev = Device::fromImage(img);
+        Device dev(img);
         benchmark::DoNotOptimize(dev.now());
     }
     state.SetItemsProcessed(state.iterations());

@@ -5,16 +5,16 @@
  * SweepRunner::runMulti() submits a MultiRunSpec's (workload,
  * policy) streams as simultaneous jobs on one fresh Device and
  * returns its drained DeviceSnapshot (one job per stream, in stream
- * order, plus the device aggregate). Every stream keeps its own
- * program counter, completion vector and result attribution (an
- * ExecContext), while the StreamScheduler interleaves their dispatch
- * pipelines on one event queue. Contention is not configured
- * anywhere — it emerges because both streams reserve the same
- * offloader, flash-die, DRAM-bank and controller-core calendars, and
- * every policy sees the other tenant's backlog through the live
- * queue/bandwidth features.
+ * order). Every stream keeps its own program counter, completion
+ * vector and result attribution (an ExecContext), while the
+ * StreamScheduler interleaves their dispatch pipelines on one event
+ * queue. Contention is not configured anywhere — it emerges because
+ * both streams reserve the same offloader, flash-die, DRAM-bank and
+ * controller-core calendars, and every policy sees the other
+ * tenant's backlog through the live queue/bandwidth features.
  */
 
+#include <cstdint>
 #include <cstdio>
 
 #include "src/runner/sweep_runner.hh"
@@ -63,12 +63,19 @@ main()
                     r.latencyUs.percentile(99));
     }
 
+    // Device totals, summed over the jobs in stream order.
+    std::uint64_t instrs = 0;
+    double dmJ = 0.0;
+    double computeJ = 0.0;
+    for (const JobResult &j : co.jobs) {
+        instrs += j.result.instrCount;
+        dmJ += j.result.dmEnergyJ;
+        computeJ += j.result.computeEnergyJ;
+    }
     std::printf("\ndevice aggregate: %llu instructions, makespan "
                 "%.3f ms, %.3f J\n",
-                static_cast<unsigned long long>(
-                    co.aggregate.instrCount),
-                ticksToUs(co.makespan) / 1000.0,
-                co.aggregate.energyJ());
+                static_cast<unsigned long long>(instrs),
+                ticksToUs(co.makespan) / 1000.0, dmJ + computeJ);
     std::printf("scheduler fired %llu events (dispatch + completion "
                 "per instruction)\n",
                 static_cast<unsigned long long>(co.eventsFired));

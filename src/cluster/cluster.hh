@@ -51,9 +51,10 @@ struct DeviceSeed
     DeviceOptions options;
 
     /**
-     * Fork the device from this image instead (Device::fromImage
-     * deep-copies, so one image may seed any number of devices —
-     * one warm/pre-worn image per age rung serves the whole fleet).
+     * Fork the device from this image instead (the Device image
+     * constructor deep-copies, so one image may seed any number of
+     * devices — one warm/pre-worn image per age rung serves the
+     * whole fleet).
      */
     std::shared_ptr<const DeviceImage> image;
 };

@@ -121,26 +121,14 @@ Device::snapshot()
 JobId
 Device::submit(const JobSpec &spec)
 {
-    Job job;
-    if (spec.program) {
-        job.spec.program = spec.program;
-    } else if (spec.workload) {
-        auto vp =
-            cache_.get(*spec.workload, opts_.workload, opts_.config);
-        // Alias the cache entry: it stays alive inside the shared_ptr
-        // control block for as long as any job references it.
-        job.spec.program =
-            std::shared_ptr<const Program>(vp, &vp->program);
-    } else {
+    if (!spec.program || !spec.policyObj)
         throw std::invalid_argument(
-            "Device::submit: JobSpec needs a workload or a program");
-    }
-    job.spec.policy = spec.policyObj
-        ? spec.policyObj
-        : std::shared_ptr<OffloadPolicy>(makePolicy(spec.policy));
-    job.spec.name = !spec.name.empty() ? spec.name
-        : spec.workload ? workloadName(*spec.workload)
-                        : std::string();
+            "Device::submit: JobSpec needs a program and a policy "
+            "object");
+    Job job;
+    job.spec.program = spec.program;
+    job.spec.policy = spec.policyObj;
+    job.spec.name = spec.name;
     job.footprint = job.spec.program->footprintPages;
     job.requestedArrival = spec.arrival;
 
@@ -379,9 +367,6 @@ Device::drain()
     snap.jobs.reserve(jobs_.size());
     for (const Job &job : jobs_)
         snap.jobs.push_back(job.result);
-    for (const Job &job : jobs_)
-        accumulateResult(snap.aggregate, job.result.result);
-    snap.aggregate.execTime = snap.makespan;
     if (const auto *rel = engine_.reliability())
         snap.reliability = rel->stats();
     return snap;

@@ -10,12 +10,14 @@
  * leave. Device is that long-lived object — it owns one simulated
  * SSD for its whole lifetime and accepts jobs dynamically:
  *
+ *   ProgramCache cache;
+ *   auto aes = cache.get(WorkloadId::Aes, opts.workload, opts.config);
  *   Device dev(opts);
  *   JobSpec spec;
- *   spec.workload = WorkloadId::Aes;
+ *   spec.program = std::shared_ptr<const Program>(aes, &aes->program);
+ *   spec.policyObj = makePolicy("Conduit");
  *   JobId a = dev.submit(spec);
- *   spec.workload = WorkloadId::Jacobi1d;
- *   spec.policy = "DM-Offloading";
+ *   spec.policyObj = makePolicy("DM-Offloading");
  *   spec.arrival = usToTicks(500);
  *   JobId b = dev.submit(spec);
  *   const JobResult &ra = dev.wait(a);   // advance sim until a retires
@@ -54,7 +56,6 @@
 #include <vector>
 
 #include "src/core/engine.hh"
-#include "src/core/program_cache.hh"
 #include "src/workloads/workloads.hh"
 
 namespace conduit
@@ -121,7 +122,10 @@ struct DeviceOptions
     /** Engine options shared by every job. */
     EngineOptions engine;
 
-    /** Workload dataset scale for JobSpec::workload compilation. */
+    /**
+     * Workload dataset scale the device's programs are compiled at
+     * (carried into images, so forks compile for the same scale).
+     */
     WorkloadParams workload;
 
     /**
@@ -162,22 +166,19 @@ makeDeviceOptions(const SsdConfig &config, const EngineOptions &engine,
     return d;
 }
 
-/** One unit of work offered to the device. */
+/**
+ * One unit of work offered to the device: a compiled program and the
+ * policy object that decides its offload targets. Both are required.
+ */
 struct JobSpec
 {
-    /** Result label; defaults to the workload/program name. */
+    /** Result label; defaults to the program's name. */
     std::string name;
 
-    /** Workload to compile via the device's compile-once cache. */
-    std::optional<WorkloadId> workload;
-
-    /** Pre-compiled program (overrides @ref workload). */
+    /** The compiled program (e.g. from a ProgramCache). */
     std::shared_ptr<const Program> program;
 
-    /** Policy name resolved via makePolicy(). */
-    std::string policy = "Conduit";
-
-    /** Externally constructed policy (overrides @ref policy). */
+    /** The job's own policy object (e.g. from makePolicy()). */
     std::shared_ptr<OffloadPolicy> policyObj;
 
     /**
@@ -243,14 +244,11 @@ struct DeviceProbe
     double dieBusyFraction = 0.0;
 };
 
-/** drain()'s view of the device: every retired job plus aggregates. */
+/** drain()'s view of the device: every retired job plus device counters. */
 struct DeviceSnapshot
 {
     /** Retired jobs, in submission order. */
     std::vector<JobResult> jobs;
-
-    /** Device-level aggregate (accumulateResult over the jobs). */
-    RunResult aggregate;
 
     /** Latest job end (drains included). */
     Tick makespan = 0;
@@ -273,7 +271,7 @@ struct DeviceSnapshot
  * retirements, the lot). A value type: copy it, share it read-only
  * across threads (`std::shared_ptr<const DeviceImage>`), and fork as
  * many independent devices from one image as you like — each
- * Device::fromImage() deep-copies on construction.
+ * Device(const DeviceImage &) deep-copies on construction.
  */
 struct DeviceImage
 {
@@ -318,8 +316,7 @@ class Device
     /**
      * Construct a device continuing exactly where @p img left off:
      * same simulated clock, same wear and mappings, same RNG stream
-     * positions, same retired-job history. Equivalent to
-     * fromImage(img).
+     * positions, same retired-job history.
      */
     explicit Device(const DeviceImage &img);
 
@@ -333,10 +330,10 @@ class Device
     Device &operator=(const Device &) = delete;
 
     /**
-     * Offer a job to the device. Compilation (for workload jobs) and
-     * policy construction happen immediately; the job itself arrives
-     * at max(arrival, now()) in simulated time. Returns the handle
-     * for wait().
+     * Offer a job to the device; it arrives at max(arrival, now()) in
+     * simulated time. Returns the handle for wait().
+     * @throws std::invalid_argument when the job has no program or
+     *         no policy object.
      */
     JobId submit(const JobSpec &spec);
 
@@ -365,12 +362,6 @@ class Device
      * results for identical subsequent submissions.
      */
     DeviceImage snapshot();
-
-    /** Fork a fresh device from @p img (guaranteed-elision factory). */
-    static Device fromImage(const DeviceImage &img)
-    {
-        return Device(img);
-    }
 
     /**
      * Advance the simulation through every event at tick <= @p t
@@ -483,8 +474,6 @@ class Device
 
     DeviceOptions opts_;
     Engine engine_;
-    // lint: transient(memoized compiled programs; rebuilt on demand, never observable)
-    ProgramCache cache_;
     RegionAllocator regions_;
     bool session_ = false;
 

@@ -9,14 +9,17 @@
 namespace conduit
 {
 
+namespace
+{
+/** Detection timeout charged when a transient fault hits. */
+constexpr Tick kFaultTimeout = usToTicks(50);
+} // namespace
+
 Engine::Engine(const SsdConfig &cfg)
     : cfg_(cfg), nand_(cfg.nand, &stats_), ftl_(nand_, cfg, &stats_),
       dram_(cfg.dram, &stats_), pud_(dram_, cfg.compute, &stats_),
       isp_(cfg.isp, cfg.compute, &stats_),
-      ifp_(nand_, cfg.compute, &stats_),
-      transformer_(cfg.nand.pageBytes, cfg.dram.rowBytes,
-                   cfg.isp.simdBytes),
-      rng_(cfg.seed)
+      ifp_(nand_, cfg.compute, &stats_), rng_(cfg.seed)
 {
     if (cfg_.reliability.enabled) {
         rel_ = std::make_unique<reliability::ReliabilityModel>(
@@ -36,9 +39,8 @@ Engine::prepare(std::uint64_t total_pages, const EngineOptions &opts)
             "scale the workload or the device");
     }
     ftl_.preload(total_pages);
-    ftl_.setMappingCacheCapacity(static_cast<std::uint64_t>(
-        static_cast<double>(total_pages) *
-        opts.mappingCacheFraction));
+    // The mapping cache covers the whole job pool.
+    ftl_.setMappingCacheCapacity(total_pages);
     pageMeta_.assign(total_pages, PageMeta{});
     latchFifo_.assign(nand_.numDies(), {});
     dramCapacityPages_ = std::max<std::uint64_t>(
@@ -722,7 +724,6 @@ Engine::dispatchNext(sched::ExecContext &ctx, Tick event_now)
 
     CostFeatures f = features(instr, now);
     const Target target = ctx.policy->select(instr, f);
-    (void)transformer_.transform(instr, target);
 
     // Operand availability (RAW) gates execution start.
     Tick dep_ready = now;
@@ -738,7 +739,7 @@ Engine::dispatchNext(sched::ExecContext &ctx, Tick event_now)
     if (opts_.transientFaultRate > 0.0 &&
         rng_.chance(opts_.transientFaultRate)) {
         ++result.faultsInjected;
-        const Tick retry_at = done + opts_.faultTimeout;
+        const Tick retry_at = done + kFaultTimeout;
         const Target alt =
             target == Target::Isp ? Target::Pud : Target::Isp;
         const Target replay_target =
@@ -1091,32 +1092,6 @@ Engine::restoreImage(const Image &img)
     scrubCursor_ = img.scrubCursor;
     scrubScheduled_ = false; // quiescent capture: no pending event
     queue_->restore(img.queueNow, img.queueFired);
-}
-
-void
-accumulateResult(RunResult &agg, const RunResult &r)
-{
-    if (!agg.workload.empty()) {
-        agg.workload += "+";
-        agg.policy += "+";
-    }
-    agg.workload += r.workload;
-    agg.policy += r.policy;
-    agg.instrCount += r.instrCount;
-    for (std::size_t i = 0; i < kNumTargets; ++i)
-        agg.perResource[i] += r.perResource[i];
-    agg.latencyUs.merge(r.latencyUs);
-    agg.dmEnergyJ += r.dmEnergyJ;
-    agg.computeEnergyJ += r.computeEnergyJ;
-    agg.computeBusy += r.computeBusy;
-    agg.internalDmBusy += r.internalDmBusy;
-    agg.flashReadBusy += r.flashReadBusy;
-    agg.hostDmBusy += r.hostDmBusy;
-    agg.offloaderBusy += r.offloaderBusy;
-    agg.faultsInjected += r.faultsInjected;
-    agg.replays += r.replays;
-    agg.coherenceCommits += r.coherenceCommits;
-    agg.latchEvictions += r.latchEvictions;
 }
 
 } // namespace conduit

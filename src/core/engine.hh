@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "src/core/run_result.hh"
-#include "src/core/transformer.hh"
 #include "src/dram/dram.hh"
 #include "src/dram/pud_unit.hh"
 #include "src/energy/energy_model.hh"
@@ -298,8 +297,6 @@ class Engine : public sched::StreamDispatcher
      */
     Tick drainStream(sched::ExecContext &ctx, Tick after);
 
-    PageMeta &meta(Lpn page) { return pageMeta_.at(page); }
-
     /** @name Active-stream page addressing @{ */
 
     /** First absolute LPN of the dispatching stream's region. */
@@ -336,8 +333,6 @@ class Engine : public sched::StreamDispatcher
     IspCore isp_;
     // lint: transient(stateless latency model derived from config; die/channel calendars live in nand_)
     IfpUnit ifp_;
-    // lint: transient(pure function of config; no mutable state)
-    InstructionTransformer transformer_;
     Rng rng_;
 
     Server offloader_{"conduit.offloader"};
@@ -448,13 +443,6 @@ class Engine : public sched::StreamDispatcher
      */
     void restoreImage(const Image &img);
 };
-
-/**
- * Fold @p r into @p agg: label joining ("+"), counter and busy-time
- * sums, latency-histogram merge — the device-level aggregate of a
- * core::Device snapshot.
- */
-void accumulateResult(RunResult &agg, const RunResult &r);
 
 } // namespace conduit
 

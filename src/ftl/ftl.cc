@@ -12,6 +12,13 @@ namespace
 {
 /** Fraction of physical blocks hidden as over-provisioning. */
 constexpr double kOverProvision = 0.07;
+
+/**
+ * DFTL mapping-cache coverage (fraction of L2P entries cached) of a
+ * freshly built FTL. Engine::prepare resizes the cache to the job
+ * pool before any translation.
+ */
+constexpr double kMappingCacheCoverage = 0.25;
 } // namespace
 
 Ftl::Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats)
@@ -37,7 +44,7 @@ Ftl::Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats)
     mapCacheCapacity_ = std::max<std::uint64_t>(
         64, static_cast<std::uint64_t>(
                 static_cast<double>(logicalPages_) *
-                cfg_.mappingCacheCoverage));
+                kMappingCacheCoverage));
     mapLru_.reset(logicalPages_);
 
     if (stats_) {

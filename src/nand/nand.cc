@@ -189,15 +189,6 @@ NandArray::channelBacklog(std::uint32_t channel, Tick now) const
     return channels_.at(channel).backlog(now);
 }
 
-Tick
-NandArray::minChannelBacklog(Tick now) const
-{
-    Tick best = kMaxTick;
-    for (const auto &c : channels_)
-        best = std::min(best, c.backlog(now));
-    return best == kMaxTick ? 0 : best;
-}
-
 double
 NandArray::channelUtilization(Tick now) const
 {

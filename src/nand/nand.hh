@@ -161,7 +161,6 @@ class NandArray
     Tick dieBacklog(std::uint32_t die_index, Tick now) const;
     Tick minDieBacklog(Tick now) const;
     Tick channelBacklog(std::uint32_t channel, Tick now) const;
-    Tick minChannelBacklog(Tick now) const;
     /** @} */
 
     /** Aggregate channel utilization in [0,1] up to @p now. */

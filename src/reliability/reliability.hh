@@ -149,7 +149,6 @@ class ReliabilityModel
     const ReliabilityStats &stats() const { return stats_; }
 
     const EccEngine &ecc() const { return ecc_; }
-    const RberModel &rberModel() const { return rber_; }
     /** @} */
 
   private:

@@ -317,12 +317,9 @@ makeLoadRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
     r.meanSojournMs = measured == 0
         ? 0.0
         : sojourn / static_cast<double>(measured);
-    Histogram measuredLat;
-    if (warm > 0)
-        for (std::size_t i = warm; i < snap.jobs.size(); ++i)
-            measuredLat.merge(snap.jobs[i].result.latencyUs);
-    const Histogram &h =
-        warm > 0 ? measuredLat : snap.aggregate.latencyUs;
+    Histogram h;
+    for (std::size_t i = warm; i < snap.jobs.size(); ++i)
+        h.merge(snap.jobs[i].result.latencyUs);
     r.p50Us = h.count() ? h.percentile(50) : 0.0;
     r.p99Us = h.count() ? h.percentile(99) : 0.0;
     r.p9999Us = h.count() ? h.percentile(99.99) : 0.0;
@@ -387,21 +384,6 @@ clusterRowFields(const ClusterRow &r)
     };
 }
 
-/** Nearest-rank percentile of an unsorted sample (copies & sorts). */
-double
-nearestRank(std::vector<double> xs, double pct)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    const double rank =
-        std::ceil(pct / 100.0 * static_cast<double>(xs.size()));
-    const std::size_t idx = rank < 1.0
-        ? 0
-        : std::min(xs.size() - 1, static_cast<std::size_t>(rank) - 1);
-    return xs[idx];
-}
-
 } // namespace
 
 std::vector<ClusterRow>
@@ -456,26 +438,24 @@ makeClusterRows(const ClusterRunSpec &spec,
     const std::size_t scopes = 1 + spec.tenants.size();
     std::vector<ClusterRow> rows(scopes, proto);
     std::vector<Histogram> lat(scopes);
-    std::vector<std::vector<double>> sojournsMs(scopes);
-    std::vector<double> sojournSum(scopes, 0.0);
+    std::vector<Histogram> sojournMs(scopes);
     std::vector<std::uint64_t> attained(scopes, 0);
 
     for (std::size_t r = 0; r < snap.routed.size(); ++r) {
         const RoutedJob &j = snap.routed[r];
         const JobResult &jr = snap.result(r);
-        const double sojournMs = ticksToUs(jr.sojourn()) / 1000.0;
+        const double sojourn = ticksToUs(jr.sojourn()) / 1000.0;
         const double sloMs = j.tenant < spec.tenants.size()
             ? spec.tenants[j.tenant].sloMs
             : 0.0;
-        const bool ok = sloMs <= 0.0 || sojournMs <= sloMs;
+        const bool ok = sloMs <= 0.0 || sojourn <= sloMs;
         const std::size_t scope = 1 + j.tenant;
         for (std::size_t s : {std::size_t{0}, scope}) {
             if (s >= scopes)
                 continue;
             ++rows[s].jobs;
             lat[s].merge(jr.result.latencyUs);
-            sojournsMs[s].push_back(sojournMs);
-            sojournSum[s] += sojournMs;
+            sojournMs[s].add(sojourn);
             if (ok)
                 ++attained[s];
         }
@@ -501,14 +481,12 @@ makeClusterRows(const ClusterRunSpec &spec,
         row.throughputJobsPerSec = spanSec > 0.0
             ? static_cast<double>(row.jobs) / spanSec
             : 0.0;
-        row.meanSojournMs = row.jobs == 0
-            ? 0.0
-            : sojournSum[s] / static_cast<double>(row.jobs);
+        row.meanSojournMs = sojournMs[s].mean();
         row.p50Us = lat[s].count() ? lat[s].percentile(50) : 0.0;
         row.p99Us = lat[s].count() ? lat[s].percentile(99) : 0.0;
         row.p9999Us =
             lat[s].count() ? lat[s].percentile(99.99) : 0.0;
-        row.sojournP99Ms = nearestRank(sojournsMs[s], 99.0);
+        row.sojournP99Ms = sojournMs[s].percentile(99);
         row.sloAttainment = row.jobs == 0
             ? 1.0
             : static_cast<double>(attained[s]) /

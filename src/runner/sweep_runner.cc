@@ -128,18 +128,12 @@ resolveProgram(ProgramCache &cache,
 
 /**
  * A fresh policy object for one job: @p factory's, else
- * makePolicy(@p technique). A null policy is rejected: the job would
- * fall back to JobSpec's default policy and run silently mislabelled.
+ * makePolicy(@p technique). Device::submit rejects a null one.
  */
 std::shared_ptr<OffloadPolicy>
 cellPolicy(const PolicyFactory &factory, const std::string &technique)
 {
-    std::shared_ptr<OffloadPolicy> policy =
-        factory ? factory() : makePolicy(technique);
-    if (!policy)
-        throw std::invalid_argument("policy factory for '" + technique +
-                                    "' returned no policy");
-    return policy;
+    return factory ? factory() : makePolicy(technique);
 }
 
 /**
@@ -236,7 +230,7 @@ warmImageKey(const LoadRunSpec &spec)
     std::snprintf(
         buf, sizeof buf,
         "|p%p|i%d|w%zu|r%.17g|a%d|as%llu|cap%llu|sc%.17g"
-        "|sd%llu|mc%.17g|gc%.17g|ds%.17g|mf%.17g"
+        "|sd%llu|gc%.17g|ds%.17g"
         "|re%d|pw%lu|rd%.17g|wl%d|wg%lu|wm%lu",
         static_cast<const void *>(spec.program.get()),
         spec.workloadId ? static_cast<int>(*spec.workloadId) : -1,
@@ -246,9 +240,7 @@ warmImageKey(const LoadRunSpec &spec)
         static_cast<unsigned long long>(spec.capacityPages),
         spec.params.scale,
         static_cast<unsigned long long>(spec.config.seed),
-        spec.config.mappingCacheCoverage, spec.config.gcThreshold,
-        spec.engine.dramStagingFraction,
-        spec.engine.mappingCacheFraction,
+        spec.config.gcThreshold, spec.engine.dramStagingFraction,
         spec.config.reliability.enabled ? 1 : 0,
         static_cast<unsigned long>(
             spec.config.reliability.preWearCycles),
@@ -455,20 +447,12 @@ SweepRunner::runMultiCell(const MultiRunSpec &spec,
 
     // Label the cell's jobs (the last streams.size(), after any the
     // image carried) with the slot's display technique (a custom
-    // policy object's own name may differ), and rebuild the
-    // aggregate's joined label so both agree.
+    // policy object's own name may differ).
     const std::size_t first = snap.jobs.size() - spec.streams.size();
     for (std::size_t i = 0; i < spec.streams.size(); ++i)
         if (!spec.streams[i].technique.empty())
             snap.jobs[first + i].result.policy =
                 spec.streams[i].technique;
-    std::string joined;
-    for (const JobResult &jr : snap.jobs) {
-        if (!joined.empty())
-            joined += "+";
-        joined += jr.result.policy;
-    }
-    snap.aggregate.policy = joined;
     return snap;
 }
 
@@ -567,12 +551,6 @@ DeviceSnapshot
 SweepRunner::runLoad(const LoadRunSpec &spec)
 {
     return runLoadCell(spec, nullptr, nullptr);
-}
-
-DeviceSnapshot
-SweepRunner::runAging(const AgingRunSpec &spec)
-{
-    return runLoad(agedLoad(spec));
 }
 
 SweepRunner::WarmImages

@@ -158,21 +158,16 @@ class SweepRunner
      * process the cell uses, always under Conduit) and
      * snapshotted at quiescence. Cells whose warm-phase inputs are
      * equal produce byte-identical images, so one image can serve
-     * every such cell read-only (Device::fromImage deep-copies).
+     * every such cell read-only (each forked Device deep-copies).
      */
     DeviceImage buildWarmImage(const LoadRunSpec &spec);
 
     /**
-     * Execute one aging cell: the spec's offered-load cell on a
+     * Execute every aging cell — the spec's offered-load cell on a
      * device with the reliability subsystem enabled and fast-
-     * forwarded to (preWearCycles, retentionDays). Deterministic for
-     * equal specs.
-     */
-    DeviceSnapshot runAging(const AgingRunSpec &spec);
-
-    /**
-     * Execute every aging cell across the worker pool and return
-     * snapshots in spec order (thread-count invariant like run()).
+     * forwarded to (preWearCycles, retentionDays) — across the worker
+     * pool and return snapshots in spec order (thread-count invariant
+     * like run()).
      */
     std::vector<DeviceSnapshot>
     runAgingAll(const std::vector<AgingRunSpec> &specs);

@@ -58,12 +58,6 @@ struct NandConfig
     {
         return totalBlocks() * pagesPerBlock;
     }
-
-    std::uint64_t
-    capacityBytes() const
-    {
-        return totalPages() * pageBytes;
-    }
 };
 
 /** SSD-internal DRAM (LPDDR4-1866, 1 channel, 1 rank, 8 banks). */
@@ -329,9 +323,6 @@ struct SsdConfig
      * equivalent is 16384 lanes, still 16 KiB per operand.
      */
     std::uint32_t vectorLanes = 16384;
-
-    /** DFTL mapping-cache coverage (fraction of L2P entries cached). */
-    double mappingCacheCoverage = 0.25;
 
     /** GC trigger: free-block fraction threshold. */
     double gcThreshold = 0.05;

@@ -1,18 +1,32 @@
 /**
  * @file
- * Test-side helper: one program under one policy object as the only
- * job of a Device — the cold-SSD cell every engine-level test runs.
+ * Test-side helpers: a job spec for a program under a named policy,
+ * and one program under one policy object as the only job of a
+ * Device — the cold-SSD cell every engine-level test runs.
  */
 
 #ifndef CONDUIT_TESTS_SOLO_RUN_HH
 #define CONDUIT_TESTS_SOLO_RUN_HH
 
 #include <memory>
+#include <string>
 
 #include "src/core/device.hh"
 
 namespace conduit::test
 {
+
+/** A job running @p prog under a fresh @p policy, arriving at @p at. */
+inline JobSpec
+jobOf(std::shared_ptr<const Program> prog, Tick at = 0,
+      const std::string &policy = "Conduit")
+{
+    JobSpec job;
+    job.program = std::move(prog);
+    job.policyObj = makePolicy(policy);
+    job.arrival = at;
+    return job;
+}
 
 /**
  * Submit @p prog under @p policy to @p dev as one tick-0 job and

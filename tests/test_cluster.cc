@@ -20,6 +20,7 @@
 #include "src/core/device.hh"
 #include "src/runner/sweep_result.hh"
 #include "src/runner/sweep_runner.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
@@ -91,10 +92,8 @@ testStream(const std::shared_ptr<const Program> &prog,
     std::vector<JobSpec> stream;
     Tick at = 0;
     for (std::size_t i = 0; i < jobs; ++i) {
-        JobSpec spec;
+        JobSpec spec = test::jobOf(prog, at);
         spec.name = "job" + std::to_string(i);
-        spec.program = prog;
-        spec.arrival = at;
         stream.push_back(spec);
         at += usToTicks(40.0 * static_cast<double>(i % 3));
     }
@@ -168,10 +167,8 @@ TEST(Cluster, LeastBacklogDivergesFromRoundRobin)
         // ones, repeatedly — round-robin alternates regardless,
         // least-backlog sees the pile-up.
         for (std::size_t i = 0; i < 12; ++i) {
-            JobSpec spec;
-            spec.program = i % 4 == 3 ? light : heavy;
-            spec.arrival = at;
-            fleet.submit(spec, i % 4 == 3 ? 1 : 0);
+            fleet.submit(test::jobOf(i % 4 == 3 ? light : heavy, at),
+                         i % 4 == 3 ? 1 : 0);
             at += usToTicks(5.0);
         }
         std::vector<std::size_t> devices;
@@ -201,10 +198,10 @@ TEST(Cluster, AllPoliciesRouteInRange)
             opts.devices.push_back({fleetDeviceOptions(), nullptr});
         Cluster fleet(std::move(opts), makePlacement(name, 7));
         for (std::size_t i = 0; i < 9; ++i) {
-            JobSpec spec;
-            spec.program = prog;
-            spec.arrival = usToTicks(10.0 * static_cast<double>(i));
-            const cluster::RoutedJob r = fleet.submit(spec, i % 2);
+            const cluster::RoutedJob r = fleet.submit(
+                test::jobOf(prog,
+                            usToTicks(10.0 * static_cast<double>(i))),
+                i % 2);
             EXPECT_LT(r.device, 3u) << name;
         }
         const ClusterSnapshot snap = fleet.drain();
@@ -326,10 +323,8 @@ TEST(Cluster, DeviceProbeTracksBacklog)
     EXPECT_EQ(idle.dieBusyFraction, 0.0);
 
     for (std::size_t i = 0; i < 4; ++i) {
-        JobSpec spec;
-        spec.program = prog;
-        spec.arrival = usToTicks(20.0 * static_cast<double>(i));
-        dev.submit(spec);
+        dev.submit(
+            test::jobOf(prog, usToTicks(20.0 * static_cast<double>(i))));
     }
     dev.advanceTo(usToTicks(1.0));
     DeviceProbe busy = dev.probe();

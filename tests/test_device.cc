@@ -13,11 +13,14 @@
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
 #include "src/runner/sweep_runner.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
 namespace
 {
+
+using test::jobOf;
 
 SsdConfig
 testCfg()
@@ -91,10 +94,8 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
 
     Device dev(testDeviceOptions());
     for (const runner::StreamSlot &slot : cell.streams) {
-        JobSpec job;
+        JobSpec job = jobOf(slot.program, 0, slot.technique);
         job.name = slot.workload;
-        job.program = slot.program;
-        job.policy = slot.technique;
         dev.submit(job);
     }
     const DeviceSnapshot snap = dev.drain();
@@ -118,7 +119,6 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     }
     EXPECT_EQ(snap.makespan, multi.makespan);
     EXPECT_EQ(snap.eventsFired, multi.eventsFired);
-    expectSameResult(snap.aggregate, multi.aggregate);
     // Regions laid out in submission order, like slot order.
     EXPECT_EQ(multi.jobs[0].basePage, 0u);
     EXPECT_EQ(multi.jobs[1].basePage, multi.jobs[0].pages);
@@ -131,12 +131,9 @@ TEST(Device, StaggeredArrivalsAreDeterministicAcrossRepeats)
     const auto runOnce = [] {
         Device dev(testDeviceOptions());
         auto prog = chainProgram("j", 16);
-        for (int i = 0; i < 4; ++i) {
-            JobSpec job;
-            job.program = prog;
-            job.arrival = static_cast<Tick>(i) * usToTicks(200);
-            dev.submit(job);
-        }
+        for (int i = 0; i < 4; ++i)
+            dev.submit(
+                jobOf(prog, static_cast<Tick>(i) * usToTicks(200)));
         return dev.drain();
     };
     const DeviceSnapshot a = runOnce();
@@ -182,13 +179,8 @@ TEST(Device, LateArrivalNeverStartsBeforeItsTick)
 {
     Device dev(testDeviceOptions());
     auto prog = chainProgram("late", 8);
-    JobSpec early;
-    early.program = prog;
-    dev.submit(early);
-    JobSpec late;
-    late.program = prog;
-    late.arrival = msToTicks(5);
-    const JobId lateId = dev.submit(late);
+    dev.submit(jobOf(prog));
+    const JobId lateId = dev.submit(jobOf(prog, msToTicks(5)));
     const JobResult &r = dev.wait(lateId);
     EXPECT_EQ(r.arrival, msToTicks(5));
     EXPECT_GE(r.admitted, r.arrival);
@@ -201,8 +193,7 @@ TEST(Device, ColocatedArrivalsContendButBothComplete)
     // isolated run (shared calendars), while both still finish.
     auto prog = chainProgram("hot", 32);
     Device iso(testDeviceOptions());
-    JobSpec job;
-    job.program = prog;
+    const JobSpec job = jobOf(prog);
     const JobId a = iso.submit(job);
     const Tick aloneEnd = iso.wait(a).end;
 
@@ -224,8 +215,7 @@ TEST(Device, RegionReclamationLetsLaterJobsReusePages)
     DeviceOptions opts = testDeviceOptions();
     opts.capacityPages = prog->footprintPages; // exactly one job fits
     Device dev(opts);
-    JobSpec job;
-    job.program = prog;
+    const JobSpec job = jobOf(prog);
     const JobId first = dev.submit(job);
     EXPECT_EQ(dev.wait(first).basePage, 0u);
 
@@ -245,10 +235,8 @@ TEST(Device, BoundedPoolQueuesAdmissionUntilSpaceFrees)
     opts.capacityPages = prog->footprintPages;
     opts.retire = RetirePolicy::OnComplete;
     Device dev(opts);
-    JobSpec job;
-    job.program = prog;
-    dev.submit(job);
-    dev.submit(job); // cannot fit until the first retires
+    dev.submit(jobOf(prog));
+    dev.submit(jobOf(prog)); // cannot fit until the first retires
     const DeviceSnapshot snap = dev.drain();
     ASSERT_EQ(snap.jobs.size(), 2u);
     EXPECT_EQ(snap.jobs[0].basePage, 0u);
@@ -264,9 +252,7 @@ TEST(Device, BoundedPoolQueuesAdmissionUntilSpaceFrees)
 TEST(Device, WaitOnCompletedJobReturnsImmediatelyAndStably)
 {
     Device dev(testDeviceOptions());
-    JobSpec job;
-    job.program = chainProgram("w", 8);
-    const JobId id = dev.submit(job);
+    const JobId id = dev.submit(jobOf(chainProgram("w", 8)));
     const JobResult r1 = dev.wait(id);
     const Tick before = dev.now();
     const JobResult r2 = dev.wait(id); // already retired: no advance
@@ -292,29 +278,28 @@ TEST(Device, JobThatCanNeverFitThrows)
     DeviceOptions opts = testDeviceOptions();
     opts.capacityPages = prog->footprintPages / 2;
     Device dev(opts);
-    JobSpec job;
-    job.program = prog;
-    const JobId id = dev.submit(job);
+    const JobId id = dev.submit(jobOf(prog));
     EXPECT_THROW(dev.wait(id), std::runtime_error);
 }
 
-TEST(Device, SubmitWithoutWorkloadOrProgramThrows)
+TEST(Device, SubmitWithoutProgramOrPolicyThrows)
 {
+    // A job needs both halves of its contract: there is no default
+    // policy to fall back on, and nothing compiles on the device.
     Device dev(testDeviceOptions());
     EXPECT_THROW(dev.submit(JobSpec{}), std::invalid_argument);
-}
 
-TEST(Device, WorkloadJobsCompileThroughTheDeviceCache)
-{
-    DeviceOptions opts = testDeviceOptions();
-    opts.workload.scale = 0.25;
-    Device dev(opts);
-    JobSpec job;
-    job.workload = WorkloadId::Aes;
-    const JobId id = dev.submit(job);
-    const JobResult &r = dev.wait(id);
-    EXPECT_EQ(r.result.workload, workloadName(WorkloadId::Aes));
-    EXPECT_GT(r.result.execTime, 0u);
+    JobSpec noProgram;
+    noProgram.policyObj = makePolicy("Conduit");
+    EXPECT_THROW(dev.submit(noProgram), std::invalid_argument);
+
+    JobSpec noPolicy;
+    noPolicy.program = chainProgram("np", 4);
+    EXPECT_THROW(dev.submit(noPolicy), std::invalid_argument);
+
+    // Rejected jobs leave no trace: a well-formed job is job 1.
+    EXPECT_EQ(dev.jobCount(), 0u);
+    EXPECT_EQ(dev.submit(jobOf(chainProgram("ok", 4))), 1u);
 }
 
 // -------------------------------------------------- RegionAllocator

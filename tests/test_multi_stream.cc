@@ -2,8 +2,8 @@
  * @file
  * Tests for event-driven multi-stream execution (streams as tick-0
  * jobs on one Device, via the runner's runMulti cell): determinism
- * of co-run streams across repeat executions, cross-tenant contention
- * visibility, aggregate accounting, input validation, and named-
+ * of co-run streams across repeat executions, per-job labels,
+ * cross-tenant contention visibility, input validation, and named-
  * workload tenants.
  */
 
@@ -118,6 +118,11 @@ TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
         expectSameResult(job(r1, i), job(r2, i));
     EXPECT_EQ(r1.makespan, r2.makespan);
     EXPECT_EQ(r1.eventsFired, r2.eventsFired);
+    // Each job carries its own slot's labels.
+    EXPECT_EQ(job(r1, 0).workload, "tenantA");
+    EXPECT_EQ(job(r1, 0).policy, "Conduit");
+    EXPECT_EQ(job(r1, 1).workload, "tenantB");
+    EXPECT_EQ(job(r1, 1).policy, "DM-Offloading");
 }
 
 TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
@@ -152,24 +157,6 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
         std::max(job(m, 0).latencyUs.percentile(99),
                  job(m, 1).latencyUs.percentile(99));
     EXPECT_GE(coloP99, isoP99);
-}
-
-TEST(MultiStream, AggregateSumsPerStreamCounters)
-{
-    auto m = coRun(twoStreams());
-    const RunResult &agg = m.aggregate;
-    const RunResult &a = job(m, 0);
-    const RunResult &b = job(m, 1);
-    EXPECT_EQ(agg.instrCount, a.instrCount + b.instrCount);
-    EXPECT_EQ(agg.latencyUs.count(),
-              a.latencyUs.count() + b.latencyUs.count());
-    for (std::size_t i = 0; i < kNumTargets; ++i)
-        EXPECT_EQ(agg.perResource[i],
-                  a.perResource[i] + b.perResource[i]);
-    EXPECT_DOUBLE_EQ(agg.energyJ(), a.energyJ() + b.energyJ());
-    EXPECT_EQ(agg.execTime, m.makespan);
-    EXPECT_EQ(agg.workload, "tenantA+tenantB");
-    EXPECT_EQ(agg.policy, "Conduit+DM-Offloading");
 }
 
 TEST(MultiStream, StreamsOccupyDisjointPageRegions)

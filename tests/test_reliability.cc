@@ -337,9 +337,11 @@ TEST(Reliability, AgingSweepIsThreadCountInvariant)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].makespan, b[i].makespan);
         EXPECT_EQ(a[i].eventsFired, b[i].eventsFired);
-        EXPECT_EQ(a[i].jobs.size(), b[i].jobs.size());
-        EXPECT_DOUBLE_EQ(a[i].aggregate.latencyUs.percentile(99),
-                         b[i].aggregate.latencyUs.percentile(99));
+        ASSERT_EQ(a[i].jobs.size(), b[i].jobs.size());
+        for (std::size_t j = 0; j < a[i].jobs.size(); ++j)
+            EXPECT_DOUBLE_EQ(
+                a[i].jobs[j].result.latencyUs.percentile(99),
+                b[i].jobs[j].result.latencyUs.percentile(99));
         EXPECT_EQ(a[i].reliability.eccRetries,
                   b[i].reliability.eccRetries);
         EXPECT_EQ(a[i].reliability.retiredBlocks,

@@ -247,14 +247,14 @@ TEST(Trace, DeviceImageCarriesNoTracerAndForkStartsEmpty)
 
     // A fork therefore records nothing...
     const std::size_t before = opts.tracer->events().size();
-    Device fork = Device::fromImage(img);
+    Device fork(img);
     fork.submit(traceJob(prog, fork.now()));
     fork.drain();
     EXPECT_EQ(opts.tracer->events().size(), before);
 
     // ...until its own (fresh, empty) tracer is attached.
     auto forkTracer = std::make_shared<trace::Tracer>(cfg);
-    Device fork2 = Device::fromImage(img);
+    Device fork2(img);
     fork2.setTracer(forkTracer, 0);
     EXPECT_TRUE(forkTracer->events().empty());
     fork2.submit(traceJob(prog, fork2.now()));

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/device.hh"
+#include "tests/solo_run.hh"
 
 namespace conduit
 {
@@ -79,10 +80,7 @@ runChurn(bool wearLevel)
     Device dev(churnOptions(wearLevel));
     Tick at = 0;
     for (std::size_t i = 0; i < 24; ++i) {
-        JobSpec spec;
-        spec.program = prog;
-        spec.arrival = at;
-        dev.submit(spec);
+        dev.submit(test::jobOf(prog, at));
         at += usToTicks(120.0);
     }
     return dev.drain();
